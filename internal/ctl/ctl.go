@@ -117,14 +117,17 @@ func (s *Server) Ops() *scenario.Ops { return s.ops }
 // Serve runs one session: lines are read from r, echoed as
 // `shssim> <line>` and executed, with output written to w. Blank lines
 // and #-comments are skipped, so committed session scripts can be
-// annotated. Serve returns at quit or EOF.
+// annotated. Serve returns at quit or EOF, or at the first read or write
+// error, which it returns.
 func (s *Server) Serve(r io.Reader, w io.Writer) error {
 	_, err := s.session(r, w)
 	return err
 }
 
 // ServeSocket listens on a Unix socket and serves sessions sequentially
-// until one of them quits. A stale socket file at path is replaced.
+// until one of them quits. A stale socket file at path is replaced. A
+// session's I/O error (a client hanging up: ECONNRESET, EPIPE, EOF) ends
+// that session only, and the listener goes back to Accept.
 func (s *Server) ServeSocket(path string) error {
 	os.Remove(path)
 	l, err := net.Listen("unix", path)
@@ -138,29 +141,50 @@ func (s *Server) ServeSocket(path string) error {
 		if err != nil {
 			return err
 		}
-		quit, serr := s.session(conn, conn)
+		quit, _ := s.session(conn, conn)
 		conn.Close()
-		if quit || serr != nil {
-			return serr
+		if quit {
+			return nil
 		}
 	}
 }
 
 func (s *Server) session(r io.Reader, w io.Writer) (quit bool, err error) {
-	s.banner(w)
+	out := &sessionWriter{w: w}
+	s.banner(out)
 	scan := bufio.NewScanner(r)
 	scan.Buffer(make([]byte, 1<<20), 1<<20)
-	for scan.Scan() {
+	for out.err == nil && scan.Scan() {
 		line := strings.TrimSpace(scan.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fmt.Fprintf(w, "shssim> %s\n", line)
-		if s.Execute(w, line) {
-			return true, nil
+		fmt.Fprintf(out, "shssim> %s\n", line)
+		if s.Execute(out, line) {
+			return true, out.err
 		}
 	}
+	if out.err != nil {
+		return false, out.err
+	}
 	return false, scan.Err()
+}
+
+// sessionWriter keeps a session's first write error and fails every later
+// write with it, so a session whose client has gone ends instead of
+// writing into a dead connection.
+type sessionWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (sw *sessionWriter) Write(p []byte) (int, error) {
+	if sw.err != nil {
+		return 0, sw.err
+	}
+	n, err := sw.w.Write(p)
+	sw.err = err
+	return n, err
 }
 
 func (s *Server) banner(w io.Writer) {

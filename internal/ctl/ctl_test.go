@@ -2,6 +2,7 @@ package ctl
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -279,7 +280,9 @@ func TestSocketSession(t *testing.T) {
 // TestSocketSurvivesAbruptDisconnect: a client that drops its connection
 // without sending quit must not take the server down — the listener goes
 // back to Accept and serves the next session, and only an explicit quit
-// ends ServeSocket.
+// ends ServeSocket. The first client hangs up with server output still
+// unread, so the server's side of that session always fails with
+// ECONNRESET or EPIPE.
 func TestSocketSurvivesAbruptDisconnect(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ctl.sock")
 	srv, err := New(nil)
@@ -303,10 +306,15 @@ func TestSocketSurvivesAbruptDisconnect(t *testing.T) {
 		return nil
 	}
 
-	// Session 1: run a command mid-stream, then hang up without quit.
+	// Session 1: queue commands with plenty of output, read one byte of
+	// the banner (so the server is writing), then hang up without quit.
+	// The banner arrives in one write, so bytes are always left unread.
 	conn := dial()
-	if _, err := conn.Write([]byte("nodes\n")); err != nil {
+	if _, err := conn.Write([]byte("help\nnodes\nhelp\n")); err != nil {
 		t.Fatalf("write: %v", err)
+	}
+	if _, err := io.ReadFull(conn, make([]byte, 1)); err != nil {
+		t.Fatalf("read: %v", err)
 	}
 	conn.Close()
 	select {
@@ -337,5 +345,35 @@ func TestSocketSurvivesAbruptDisconnect(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Error("ServeSocket did not return after quit")
+	}
+}
+
+// failAfter is a writer that accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		f.n = 0
+		return 0, io.ErrClosedPipe
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestSessionEndsOnWriteError: a session stops at its first failed write
+// and reports it, instead of running the rest of the script into a dead
+// connection.
+func TestSessionEndsOnWriteError(t *testing.T) {
+	srv, err := New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Ops().Stack().Eng.Now()
+	err = srv.Serve(strings.NewReader("help\nstep 5s\nquit\n"), &failAfter{n: 16})
+	if err != io.ErrClosedPipe {
+		t.Fatalf("Serve = %v, want %v", err, io.ErrClosedPipe)
+	}
+	if now := srv.Ops().Stack().Eng.Now(); now != before {
+		t.Errorf("commands ran after the write error: clock moved %s -> %s", before, now)
 	}
 }

@@ -215,7 +215,23 @@ type APIServer struct {
 	kindSeq map[Kind]uint64
 	// faults is nil until the first fault call arms the layer.
 	faults *apiFaults
+	// children is the owner index: owner UID -> the stored objects naming
+	// it as OwnerUID, so orphan GC visits only a dead owner's children.
+	// Maintained by commit; nil until the first owned object is stored.
+	children map[UID][]objRef
 }
+
+// objRef names a stored object for the owner index.
+type objRef struct {
+	kind     Kind
+	ns, name string
+}
+
+// commitObserver, when non-nil, sees every store-slot change: prev is the
+// object replaced or removed (nil on create), next the object installed
+// (nil on delete). Tests set it to check that committed objects are never
+// mutated.
+var commitObserver func(prev, next Object)
 
 // NewAPIServer creates an empty API server.
 func NewAPIServer(eng *sim.Engine, lat APILatency) *APIServer {
@@ -395,15 +411,15 @@ func (a *APIServer) notify(t EventType, obj Object) {
 			continue
 		}
 		w := w
-		cp := obj.DeepCopy()
 		at := a.eng.Now().Add(a.eng.Jitter(a.lat.WatchDelivery, a.lat.Jitter))
 		if at < w.next {
 			at = w.next
 		}
 		w.next = at
+		// obj is committed, hence immutable: every watcher shares it.
 		w.pending[seq] = a.eng.At(at, func() {
 			delete(w.pending, seq)
-			w.handler(Event{Type: t, Object: cp, Seq: seq})
+			w.handler(Event{Type: t, Object: obj, Seq: seq})
 		})
 	}
 }
@@ -426,7 +442,8 @@ func (a *APIServer) CancelPendingDeliveries() int {
 
 // Watch registers handler for all events on kind. Handlers run in virtual
 // time, after the watch-delivery latency; one watcher sees events in commit
-// order. This is the raw per-kind broadcast — controllers should prefer
+// order. Event objects are the shared committed objects: read-only. This
+// is the raw per-kind broadcast — controllers should prefer
 // Client.Watch, which shares one upstream watcher per kind and supports
 // namespace/selector filtering.
 func (a *APIServer) Watch(kind Kind, handler func(Event)) {
@@ -452,9 +469,10 @@ func (a *APIServer) Create(obj Object) *Response {
 			return
 		}
 		m := obj.GetMeta()
+		key := m.Key()
 		s := a.store(m.Kind)
-		if _, exists := s[m.Key()]; exists {
-			resp.complete(fmt.Errorf("%w: %s %s", ErrAlreadyExists, m.Kind, m.Key()))
+		if _, exists := s[key]; exists {
+			resp.complete(fmt.Errorf("%w: %s %s", ErrAlreadyExists, m.Kind, key))
 			return
 		}
 		a.nextUID++
@@ -463,15 +481,16 @@ func (a *APIServer) Create(obj Object) *Response {
 		a.rev++
 		m.ResourceVersion = a.rev
 		stored := obj.DeepCopy()
-		s[m.Key()] = stored
+		a.commit(s, key, nil, stored)
 		a.notify(EventAdded, stored)
 		resp.complete(nil)
 	}))
 	return resp
 }
 
-// Get returns a copy of the object, synchronously (a live quorum read; for
-// cached, index-capable reads use a Lister).
+// Get returns a private copy of the object, synchronously (a live quorum
+// read the caller may mutate; for cached, index-capable reads use a
+// Lister).
 func (a *APIServer) Get(kind Kind, namespace, name string) (Object, bool) {
 	obj, ok := a.store(kind)[namespace+"/"+name]
 	if !ok {
@@ -512,28 +531,29 @@ func (a *APIServer) Update(obj Object) *Response {
 			return
 		}
 		m := cp.GetMeta()
+		key := m.Key()
 		s := a.store(m.Kind)
-		old, ok := s[m.Key()]
+		old, ok := s[key]
 		if !ok {
-			resp.complete(fmt.Errorf("%w: %s %s", ErrNotFound, m.Kind, m.Key()))
+			resp.complete(fmt.Errorf("%w: %s %s", ErrNotFound, m.Kind, key))
 			return
 		}
 		oldMeta := old.GetMeta()
 		if m.ResourceVersion != 0 && m.ResourceVersion != oldMeta.ResourceVersion {
 			resp.complete(fmt.Errorf("%w: %s %s (update at %d, stored %d)",
-				ErrConflict, m.Kind, m.Key(), m.ResourceVersion, oldMeta.ResourceVersion))
+				ErrConflict, m.Kind, key, m.ResourceVersion, oldMeta.ResourceVersion))
 			return
 		}
 		m.UID = oldMeta.UID
 		m.Created = oldMeta.Created
 		a.rev++
 		m.ResourceVersion = a.rev
-		s[m.Key()] = cp
+		a.commit(s, key, old, cp)
 		a.notify(EventModified, cp)
 		resp.complete(nil)
 		// Finalizer removal may allow a pending deletion to complete.
 		if m.Deleting && len(m.Finalizers) == 0 {
-			a.finalizeDelete(m.Kind, m.Key())
+			a.finalizeDelete(m.Kind, key)
 		}
 	}))
 	return resp
@@ -561,10 +581,13 @@ func (a *APIServer) Delete(kind Kind, namespace, name string) *Response {
 		m := obj.GetMeta()
 		if len(m.Finalizers) > 0 {
 			if !m.Deleting {
-				m.Deleting = true
+				cp := obj.DeepCopy()
+				cm := cp.GetMeta()
+				cm.Deleting = true
 				a.rev++
-				m.ResourceVersion = a.rev
-				a.notify(EventModified, obj)
+				cm.ResourceVersion = a.rev
+				a.commit(s, key, obj, cp)
+				a.notify(EventModified, cp)
 			}
 			resp.complete(nil)
 			return
@@ -582,31 +605,73 @@ func (a *APIServer) finalizeDelete(kind Kind, key string) {
 	if !ok {
 		return
 	}
-	delete(s, key)
+	a.commit(s, key, obj, nil)
 	a.notify(EventDeleted, obj)
 	a.collectOrphans(obj.GetMeta().UID)
 }
 
-// collectOrphans deletes every object owned by the vanished UID. Orphans
-// are deleted in sorted (kind, key) order so the garbage collector's event
-// stream is deterministic; each Delete carries exactly one request delay.
-func (a *APIServer) collectOrphans(owner UID) {
-	if owner == "" {
-		return
+// commit installs next in store slot key of s, replacing prev (nil on
+// create; next nil deletes). It is the one place a store slot changes, so
+// the owner index stays exact. Both objects are committed and immutable:
+// a later write installs a fresh copy rather than mutating next.
+func (a *APIServer) commit(s map[string]Object, key string, prev, next Object) {
+	var was, now UID
+	if prev != nil {
+		was = prev.GetMeta().OwnerUID
 	}
-	type orphan struct {
-		kind     Kind
-		ns, name string
+	if next != nil {
+		now = next.GetMeta().OwnerUID
+		s[key] = next
+	} else {
+		delete(s, key)
 	}
-	var orphans []orphan
-	for kind, s := range a.stores {
-		for _, obj := range s {
-			if obj.GetMeta().OwnerUID == owner {
-				m := obj.GetMeta()
-				orphans = append(orphans, orphan{kind, m.Namespace, m.Name})
-			}
+	if was != now {
+		if was != "" {
+			a.unindexChild(was, prev.GetMeta())
+		}
+		if now != "" {
+			a.indexChild(now, next.GetMeta())
 		}
 	}
+	if commitObserver != nil {
+		commitObserver(prev, next)
+	}
+}
+
+func (a *APIServer) indexChild(owner UID, m *Meta) {
+	if a.children == nil {
+		a.children = make(map[UID][]objRef)
+	}
+	a.children[owner] = append(a.children[owner], objRef{m.Kind, m.Namespace, m.Name})
+}
+
+func (a *APIServer) unindexChild(owner UID, m *Meta) {
+	refs := a.children[owner]
+	for i, r := range refs {
+		if r.kind == m.Kind && r.ns == m.Namespace && r.name == m.Name {
+			refs[i] = refs[len(refs)-1]
+			refs = refs[:len(refs)-1]
+			break
+		}
+	}
+	if len(refs) == 0 {
+		delete(a.children, owner)
+	} else {
+		a.children[owner] = refs
+	}
+}
+
+// collectOrphans deletes every object owned by the vanished UID, found
+// through the owner index. Orphans are deleted in sorted (kind, namespace,
+// name) order so the garbage collector's event stream is deterministic;
+// each Delete carries exactly one request delay.
+func (a *APIServer) collectOrphans(owner UID) {
+	orphans := a.children[owner]
+	if len(orphans) == 0 {
+		return
+	}
+	// Deletes commit after their request delay, so the index entry is not
+	// touched while this loop runs; sorting it in place is harmless.
 	sort.Slice(orphans, func(i, j int) bool {
 		if orphans[i].kind != orphans[j].kind {
 			return orphans[i].kind < orphans[j].kind
@@ -637,7 +702,8 @@ func (a *APIServer) RemoveFinalizer(kind Kind, namespace, name, f string) *Respo
 			resp.complete(fmt.Errorf("%w: %s %s", ErrNotFound, kind, key))
 			return
 		}
-		m := obj.GetMeta()
+		cp := obj.DeepCopy()
+		m := cp.GetMeta()
 		kept := m.Finalizers[:0]
 		for _, x := range m.Finalizers {
 			if x != f {
@@ -647,7 +713,8 @@ func (a *APIServer) RemoveFinalizer(kind Kind, namespace, name, f string) *Respo
 		m.Finalizers = kept
 		a.rev++
 		m.ResourceVersion = a.rev
-		a.notify(EventModified, obj)
+		a.commit(s, key, obj, cp)
+		a.notify(EventModified, cp)
 		if m.Deleting && len(m.Finalizers) == 0 {
 			a.finalizeDelete(m.Kind, key)
 		}
@@ -656,19 +723,22 @@ func (a *APIServer) RemoveFinalizer(kind Kind, namespace, name, f string) *Respo
 	return resp
 }
 
-// UpdateStatus applies fn to the live stored object synchronously (status
-// writes from node agents are modelled as cheap). Watchers are notified
-// when fn reports a change.
+// UpdateStatus applies fn to a private copy of the stored object
+// synchronously (status writes from node agents are modelled as cheap).
+// When fn reports a change the copy is committed and watchers are
+// notified; otherwise it is dropped and the store is untouched.
 func (a *APIServer) UpdateStatus(kind Kind, namespace, name string, fn func(Object) bool) bool {
 	s := a.store(kind)
-	obj, ok := s[namespace+"/"+name]
+	key := namespace + "/" + name
+	obj, ok := s[key]
 	if !ok {
 		return false
 	}
-	if fn(obj) {
+	if cp := obj.DeepCopy(); fn(cp) {
 		a.rev++
-		obj.GetMeta().ResourceVersion = a.rev
-		a.notify(EventModified, obj)
+		cp.GetMeta().ResourceVersion = a.rev
+		a.commit(s, key, obj, cp)
+		a.notify(EventModified, cp)
 	}
 	return true
 }

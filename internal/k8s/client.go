@@ -50,9 +50,8 @@ func OwnerIndex(obj Object) []string {
 type WatchOptions struct {
 	// Namespace restricts delivery to one namespace ("" = all).
 	Namespace string
-	// Selector, when non-nil, must admit the event object. It runs against
-	// the informer's cached copy before the per-handler copy is made, so
-	// non-matching handlers cost no allocation.
+	// Selector, when non-nil, must admit the event object. Like handlers,
+	// it sees the shared committed object and must not mutate it.
 	Selector func(Object) bool
 }
 
@@ -148,9 +147,10 @@ func newInformer(api *APIServer, kind Kind) *Informer {
 		lastSeq: api.kindSeq[kind],
 	}
 	// Initial LIST: seed the cache from the store synchronously so an
-	// informer created after objects already exist starts warm.
+	// informer created after objects already exist starts warm. Committed
+	// objects are immutable, so the cache shares them with the store.
 	for key, obj := range api.store(kind) {
-		inf.apply(key, obj.DeepCopy())
+		inf.apply(key, obj)
 	}
 	inf.upstream = api.watch(kind, inf.onEvent)
 	return inf
@@ -211,9 +211,7 @@ func (inf *Informer) remove(key string) {
 }
 
 // onEvent absorbs one watch event into the cache, then dispatches it to
-// matching handlers. Each matching handler receives its own deep copy, so
-// handlers may mutate their event object freely (the cached copy is never
-// handed out for writing).
+// matching handlers.
 func (inf *Informer) onEvent(ev Event) {
 	if ev.Seq != 0 && ev.Seq <= inf.lastSeq {
 		// An in-flight delivery from before a relist: its effect is already
@@ -231,13 +229,15 @@ func (inf *Informer) onEvent(ev Event) {
 	inf.dispatch(ev)
 }
 
-// dispatch fans one event out to matching handlers, a deep copy each.
+// dispatch fans one event out to matching handlers. Every handler gets the
+// same committed object the store and the cache hold: handlers treat it as
+// read-only, like lister results, and DeepCopy it before mutating or
+// retaining it.
 func (inf *Informer) dispatch(ev Event) {
 	for _, reg := range inf.handlers {
-		if !reg.opts.matches(ev.Object) {
-			continue
+		if reg.opts.matches(ev.Object) {
+			reg.handler(ev)
 		}
-		reg.handler(Event{Type: ev.Type, Object: ev.Object.DeepCopy(), Seq: ev.Seq})
 	}
 }
 
@@ -271,17 +271,16 @@ func (inf *Informer) relist() {
 		}
 	}
 	for key, obj := range inf.api.store(inf.kind) {
-		cp := obj.DeepCopy()
-		objs[key] = cp
-		ns := cp.GetMeta().Namespace
+		objs[key] = obj
+		ns := obj.GetMeta().Namespace
 		b := byNS[ns]
 		if b == nil {
 			b = make(map[string]Object)
 			byNS[ns] = b
 		}
-		b[key] = cp
+		b[key] = obj
 		for _, ix := range indexes {
-			ix.add(key, cp)
+			ix.add(key, obj)
 		}
 	}
 	inf.objs, inf.byNS, inf.indexes = objs, byNS, indexes
@@ -323,8 +322,9 @@ func (inf *Informer) noteRead() {
 }
 
 // Lister is a cached, index-capable read view over one kind. Returned
-// objects are the informer's cache entries: treat them as read-only, like
-// client-go lister results. Reads cost no API round trip and no deep copy.
+// objects are the committed objects the store, the cache and watch
+// handlers share: treat them as read-only, like client-go lister results.
+// Reads cost no API round trip and no deep copy.
 type Lister struct {
 	inf *Informer
 }
@@ -498,6 +498,8 @@ func (c *Client) Lister(kind Kind) Lister { return c.Informer(kind).Lister() }
 // Watch registers handler for events on kind scoped by opts. Handlers run
 // after the shared informer cache has absorbed the event, in registration
 // order, so lister reads from inside a handler always include the event.
+// The event object is shared with the cache: read-only, like lister
+// results.
 func (c *Client) Watch(kind Kind, opts WatchOptions, handler func(Event)) {
 	inf := c.Informer(kind)
 	inf.handlers = append(inf.handlers, &watchReg{opts: opts, handler: handler})
@@ -526,8 +528,9 @@ func (c *Client) Get(kind Kind, namespace, name string) (Object, bool) {
 	return c.api.Get(kind, namespace, name)
 }
 
-// UpdateStatus applies fn to the live stored object synchronously (node
-// agents' cheap status writes).
+// UpdateStatus applies fn to a private copy of the stored object and
+// commits it synchronously when fn reports a change (node agents' cheap
+// status writes).
 func (c *Client) UpdateStatus(kind Kind, namespace, name string, fn func(Object) bool) bool {
 	return c.api.UpdateStatus(kind, namespace, name, fn)
 }
@@ -788,7 +791,10 @@ func (c *Client) probeTick() {
 }
 
 // VerifyCaches compares every informer cache against the live store: same
-// key sets, same per-key ResourceVersions, deep-equal objects. It returns
+// key sets, same per-key ResourceVersions, deep-equal objects. A converged
+// cache shares each committed object with the store, so this cannot see a
+// caller mutating a shared object; the package's commit-guard test covers
+// that. It returns
 // nil when every cache has fully converged — the post-drain
 // eventual-convergence check behind the fuzzer invariant and the
 // cp_converged assertion.

@@ -39,8 +39,11 @@ type JobController struct {
 	cli  *Client
 	cfg  JobControllerConfig
 	pods Lister // indexed by IndexPodJob for O(pods-of-job) recounts
-	// workqueue of job keys with pods left to create.
+	// workqueue of job keys with pods left to create; queued is its
+	// dirty set (nil until first use), so re-enqueuing a key that is
+	// still waiting is a no-op.
 	queue   []string
+	queued  map[string]bool
 	busy    bool
 	lastOp  sim.Time
 	created map[string]int // pods created per job key
@@ -101,11 +104,13 @@ func (c *JobController) SetGate(gate func(job *Job) bool) { c.gate = gate }
 func (c *JobController) RequeueJob(key string) { c.enqueue(key) }
 
 func (c *JobController) enqueue(key string) {
-	for _, k := range c.queue {
-		if k == key {
-			return
-		}
+	if c.queued[key] {
+		return
 	}
+	if c.queued == nil {
+		c.queued = make(map[string]bool)
+	}
+	c.queued[key] = true
 	c.queue = append(c.queue, key)
 	c.pump()
 }
@@ -118,6 +123,7 @@ func (c *JobController) pump() {
 	c.busy = true
 	key := c.queue[0]
 	c.queue = c.queue[1:]
+	delete(c.queued, key)
 	eng := c.cli.Engine()
 	delay := eng.Jitter(c.cfg.PodCreateLatency, c.cfg.Jitter)
 	if c.cfg.MaxQPS > 0 {

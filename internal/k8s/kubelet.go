@@ -86,6 +86,9 @@ func NewKubelet(cli *Client, cfg KubeletConfig, node string, rt Runtime) *Kubele
 		case EventModified:
 			if pod.Status.Phase == PodScheduled {
 				if _, seen := k.livePods[pod.Meta.Key()]; !seen {
+					// The event object is shared and read-only; the
+					// kubelet retains its pod and writes status into it.
+					pod := pod.DeepCopy().(*Pod)
 					k.livePods[pod.Meta.Key()] = pod
 					k.submit(func(done func()) { k.startPod(pod, done) })
 				}

@@ -73,8 +73,9 @@ func (m *Meta) HasFinalizer(f string) bool {
 // Object is anything stored in the API server.
 type Object interface {
 	GetMeta() *Meta
-	// DeepCopy returns an independent copy; the API server stores and
-	// returns copies so callers cannot mutate state behind its back.
+	// DeepCopy returns an independent copy. The API server stores a copy
+	// of what it is handed, and callers copy a committed object (from a
+	// lister or a watch event, which share it) before mutating it.
 	DeepCopy() Object
 }
 

@@ -199,13 +199,13 @@ func (d *Decorator) reconcile(key string, done func()) {
 
 // childrenOf lists controller-owned children of the parent through the
 // owner index: O(children of this parent), not O(all children in the
-// namespace). It returns private copies because webhook responses may echo
-// them back as desired state, which applyChildren mutates.
+// namespace). The children are the shared committed objects, read-only;
+// applyChildren copies any that a webhook echoes back before rewriting it.
 func (d *Decorator) childrenOf(meta *k8s.Meta) []*k8s.Custom {
 	var out []*k8s.Custom
 	for _, obj := range d.children.ByIndex(k8s.IndexOwner, string(meta.UID)) {
 		if c, ok := obj.(*k8s.Custom); ok {
-			out = append(out, c.DeepCopy().(*k8s.Custom))
+			out = append(out, c)
 		}
 	}
 	return out
@@ -229,6 +229,11 @@ func (d *Decorator) applyChildren(parent *k8s.Meta, desired []*k8s.Custom, done 
 	var ops []func()
 	for _, w := range desired {
 		w := w
+		if w.Meta.UID != "" {
+			// A committed child echoed back as desired state: it is
+			// shared with the informer cache, so rewrite a copy.
+			w = w.DeepCopy().(*k8s.Custom)
+		}
 		w.Meta.Kind = d.cfg.ChildKind
 		w.Meta.Namespace = parent.Namespace
 		w.Meta.OwnerUID = parent.UID

@@ -58,12 +58,13 @@ func (u *UnsafeAllocator) Acquire(owner string, now sim.Time) (fabric.VNI, error
 		u.gapF()
 	}
 
-	// Step 2: insert (separate critical section, no re-check).
+	// Step 2: insert (separate critical section, no re-check). Outside a
+	// transaction there is no undo log, so putRow's undo record is dropped.
 	db.mu.Lock()
-	db.rows[candidate] = &row{
+	db.putRow(&row{
 		vni: candidate, owner: owner, state: Allocated,
 		allocatedAt: now, users: make(map[string]bool),
-	}
+	})
 	db.seq++
 	db.audit = append(db.audit, AuditEntry{Seq: db.seq, At: now, Op: OpAcquire, VNI: candidate, Owner: owner})
 	db.mu.Unlock()

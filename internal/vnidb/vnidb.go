@@ -135,6 +135,10 @@ type DB struct {
 	// round-robin rather than always reusing the lowest, reducing reuse
 	// pressure on recently-released IDs.
 	nextProbe fabric.VNI
+	// byOwner indexes Allocated rows by owner, so FindByOwner is a map
+	// lookup. It changes only through putRow and Release, whose changes
+	// join the transaction's undo log; nil until the first allocation.
+	byOwner map[string]fabric.VNI
 }
 
 // Open creates an empty database.
@@ -267,23 +271,65 @@ func (tx *Tx) Acquire(owner string, now sim.Time) (fabric.VNI, error) {
 			}
 		}
 		// Allocate v.
-		prev := r
-		nr := &row{vni: v, owner: owner, state: Allocated, allocatedAt: now, users: make(map[string]bool)}
-		db.rows[v] = nr
+		u := db.putRow(&row{vni: v, owner: owner, state: Allocated, allocatedAt: now, users: make(map[string]bool)})
 		oldProbe := db.nextProbe
 		db.nextProbe = db.opts.MinVNI + (v-db.opts.MinVNI+1)%n
 		tx.undo = append(tx.undo, func() {
 			db.nextProbe = oldProbe
-			if prev == nil {
-				delete(db.rows, v)
-			} else {
-				db.rows[v] = prev
-			}
+			db.revertRow(u)
 		})
 		tx.logOp(OpAcquire, v, owner, "", now)
 		return v, nil
 	}
 	return 0, ErrExhausted
+}
+
+// rowUndo records what putRow replaced, for the transaction's undo log.
+type rowUndo struct {
+	prev, next    *row
+	prevVNI       fabric.VNI // the owner index entry next's owner had
+	hadOwner      bool
+	prevUnindexed bool // putRow dropped prev from the owner index
+}
+
+// putRow installs an Allocated row, replacing whatever row held its VNI,
+// and points the owner index at it. revertRow undoes both.
+func (db *DB) putRow(nr *row) rowUndo {
+	u := rowUndo{prev: db.rows[nr.vni], next: nr}
+	db.rows[nr.vni] = nr
+	u.prevUnindexed = u.prev != nil && u.prev.state == Allocated && db.unindexOwner(u.prev)
+	if db.byOwner == nil {
+		db.byOwner = make(map[string]fabric.VNI)
+	}
+	u.prevVNI, u.hadOwner = db.byOwner[nr.owner]
+	db.byOwner[nr.owner] = nr.vni
+	return u
+}
+
+func (db *DB) revertRow(u rowUndo) {
+	if u.hadOwner {
+		db.byOwner[u.next.owner] = u.prevVNI
+	} else {
+		delete(db.byOwner, u.next.owner)
+	}
+	if u.prevUnindexed {
+		db.byOwner[u.prev.owner] = u.prev.vni
+	}
+	if u.prev == nil {
+		delete(db.rows, u.next.vni)
+	} else {
+		db.rows[u.next.vni] = u.prev
+	}
+}
+
+// unindexOwner drops r from the owner index if the index points at it, and
+// reports whether it did.
+func (db *DB) unindexOwner(r *row) bool {
+	if v, ok := db.byOwner[r.owner]; ok && v == r.vni {
+		delete(db.byOwner, r.owner)
+		return true
+	}
+	return false
 }
 
 // Release moves an allocated VNI to quarantine, clearing its users. After
@@ -301,8 +347,12 @@ func (tx *Tx) Release(vni fabric.VNI, now sim.Time) error {
 	r.state = Quarantined
 	r.releasedAt = now
 	r.users = make(map[string]bool)
+	unindexed := db.unindexOwner(r)
 	tx.undo = append(tx.undo, func() {
 		r.state, r.releasedAt, r.users = prevState, prevReleased, prevUsers
+		if unindexed {
+			db.byOwner[r.owner] = r.vni
+		}
 	})
 	tx.logOp(OpRelease, vni, r.owner, "", now)
 	return nil
@@ -368,19 +418,19 @@ func (tx *Tx) Get(vni fabric.VNI) (Row, bool) {
 	return exportRow(r), true
 }
 
-// FindByOwner returns the allocated VNI owned by owner, if any. Owners are
-// unique per allocation by construction (the VNI service derives them from
-// object UIDs).
+// FindByOwner returns the allocated VNI owned by owner, if any, through the
+// owner index. Owners are unique per allocation by construction (the VNI
+// service derives them from object UIDs); were an owner to hold two
+// allocations, the index names the latest.
 func (tx *Tx) FindByOwner(owner string) (Row, bool) {
 	if tx.done {
 		return Row{}, false
 	}
-	for _, r := range tx.db.rows {
-		if r.state == Allocated && r.owner == owner {
-			return exportRow(r), true
-		}
+	v, ok := tx.db.byOwner[owner]
+	if !ok {
+		return Row{}, false
 	}
-	return Row{}, false
+	return exportRow(tx.db.rows[v]), true
 }
 
 // List returns all non-free rows sorted by VNI.

@@ -79,22 +79,14 @@ func replayAcquire(tx *Tx, op walRecord) error {
 	if err := tx.check(true); err != nil {
 		return err
 	}
-	db := tx.db
-	if r, ok := db.rows[op.VNI]; ok && r.state == Allocated {
+	if r, ok := tx.db.rows[op.VNI]; ok && r.state == Allocated {
 		return fmt.Errorf("replay acquire: vni %d already allocated", op.VNI)
 	}
-	prev := db.rows[op.VNI]
-	db.rows[op.VNI] = &row{
+	u := tx.db.putRow(&row{
 		vni: op.VNI, owner: op.Owner, state: Allocated,
 		allocatedAt: op.At, users: make(map[string]bool),
-	}
-	tx.undo = append(tx.undo, func() {
-		if prev == nil {
-			delete(db.rows, op.VNI)
-		} else {
-			db.rows[op.VNI] = prev
-		}
 	})
+	tx.undo = append(tx.undo, func() { tx.db.revertRow(u) })
 	tx.logOp(OpAcquire, op.VNI, op.Owner, "", op.At)
 	return nil
 }
