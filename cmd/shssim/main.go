@@ -12,7 +12,7 @@
 //	shssim list [dir]                list scenarios with their descriptions
 //	shssim interactive [flags]       drive a live fleet from a command prompt
 //
-// Flags for run: -v (print the event narration), -workers N / -parallel N
+// Flags for run: -v (print the event narration), -parallel N
 // (parallel scenario runs for directories; results print in deterministic
 // order), -seed N (override every scenario's baked-in seed; the effective
 // seed is printed either way, so any run can be reproduced exactly),
@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
-  shssim run [-v] [-workers N | -parallel N] [-seed N] [-repeat N] [-fidelity M] <file-or-dir> [...]
+  shssim run [-v] [-parallel N] [-seed N] [-repeat N] [-fidelity M] <file-or-dir> [...]
   shssim validate <file> [...]
   shssim list [dir]
   shssim fuzz [-n N] [-seed N] [-corpus dir] [-v]
@@ -119,8 +119,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	verbose := fs.Bool("v", false, "print the event narration for each run")
-	workers := fs.Int("workers", 4, "scenarios run in parallel")
-	fs.IntVar(workers, "parallel", 4, "alias for -workers")
+	parallel := fs.Int("parallel", 4, "scenarios run in parallel")
 	seed := fs.Int64("seed", 0, "override the scenario seed (0 = use each file's seed)")
 	repeat := fs.Int("repeat", 1, "runs per scenario at consecutive seeds (base, base+1, ...)")
 	fidelity := fs.String("fidelity", "", "override every traffic spec's fabric fidelity (packet, flow or hybrid)")
@@ -194,11 +193,11 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	// its own stack and virtual clock, so parallelism cannot perturb
 	// results. Output is collected per index and printed in input order.
 	results := make([]*scenario.Result, len(jobs))
-	if *workers < 1 {
-		*workers = 1
+	if *parallel < 1 {
+		*parallel = 1
 	}
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, *workers)
+	sem := make(chan struct{}, *parallel)
 	for i, j := range jobs {
 		wg.Add(1)
 		go func(i int, sc *scenario.Scenario) {

@@ -7,12 +7,14 @@
 // collective traffic, and advance virtual time explicitly (step,
 // run-until-idle) — the clock never moves on its own.
 //
-// Every mutating command constructs a scenario.Event and executes it
-// through scenario.Ops, the same dispatch a YAML timeline runs through,
-// so `fail-link 0 1` at the prompt and a fail_link event in a file are
-// one code path. Sessions are deterministic: the same scenario, seed and
-// command script produce a byte-identical transcript, which is how the
-// protocol is golden-tested and how CI diffs replayed sessions.
+// Every mutating command constructs a scenario.Event, checks it with the
+// validator a YAML file's events pass (Scenario.ValidateEvent) and
+// executes it through scenario.Ops, the same dispatch a YAML timeline
+// runs through, so `fail-link 0 1` at the prompt and a fail_link event in
+// a file are one code path. Sessions are deterministic: the same
+// scenario, seed and command script produce a byte-identical transcript,
+// which is how the protocol is golden-tested and how CI diffs replayed
+// sessions.
 package ctl
 
 import (
@@ -306,11 +308,20 @@ func (s *Server) help(w io.Writer) {
 
 // exec runs one scenario event and prints its narration, then any error.
 func (s *Server) exec(w io.Writer, ev *scenario.Event) {
-	err := s.ops.Exec(ev)
+	err := s.run(ev)
 	s.printLog(w)
 	if err != nil {
 		fmt.Fprintf(w, "error: %v\n", err)
 	}
+}
+
+// run validates ev as Validate does a YAML event, then executes it; an
+// invalid event is rejected before it touches the fleet.
+func (s *Server) run(ev *scenario.Event) error {
+	if err := s.sc.ValidateEvent(ev); err != nil {
+		return err
+	}
+	return s.ops.Exec(ev)
 }
 
 func (s *Server) printLog(w io.Writer) {
@@ -395,12 +406,6 @@ func (s *Server) linkCmd(w io.Writer, cmd string, args []string) {
 		fmt.Fprintf(w, "usage: %s <groupA> <groupB> [linkIndex]\n", cmd)
 		return
 	}
-	for _, a := range args {
-		if _, err := strconv.Atoi(a); err != nil {
-			fmt.Fprintf(w, "error: %s wants integer arguments, got %q\n", cmd, a)
-			return
-		}
-	}
 	params := map[string]string{"groups": args[0] + "," + args[1]}
 	if len(args) == 3 {
 		params["link"] = args[2]
@@ -442,7 +447,7 @@ func (s *Server) runTraffic(w io.Writer, args []string) {
 			"tenant": opsTenant, "job": name, "traffic": name}},
 		{Action: "delete_job", Params: map[string]string{"tenant": opsTenant, "name": name}},
 	} {
-		err := s.ops.Exec(ev)
+		err := s.run(ev)
 		s.printLog(w)
 		if err != nil {
 			fmt.Fprintf(w, "error: %s: %v\n", ev.Action, err)
@@ -451,27 +456,16 @@ func (s *Server) runTraffic(w io.Writer, args []string) {
 	}
 }
 
-// degradeAPIServer parses the optional latency-factor and error-prob
-// arguments and executes a degrade_apiserver event.
+// degradeAPIServer executes a degrade_apiserver event from the optional
+// latency-factor and error-prob arguments.
 func (s *Server) degradeAPIServer(w io.Writer, args []string) {
 	if len(args) > 2 {
 		fmt.Fprintln(w, "usage: degrade-apiserver [latency_factor] [error_prob]")
 		return
 	}
 	params := map[string]string{}
-	if len(args) >= 1 {
-		if v, err := strconv.ParseFloat(args[0], 64); err != nil || v < 1 {
-			fmt.Fprintf(w, "error: latency_factor wants a number >= 1, got %q\n", args[0])
-			return
-		}
-		params["latency_factor"] = args[0]
-	}
-	if len(args) == 2 {
-		if v, err := strconv.ParseFloat(args[1], 64); err != nil || v < 0 || v >= 1 {
-			fmt.Fprintf(w, "error: error_prob wants a number in [0,1), got %q\n", args[1])
-			return
-		}
-		params["error_prob"] = args[1]
+	for i, key := range []string{"latency_factor", "error_prob"}[:len(args)] {
+		params[key] = args[i]
 	}
 	s.exec(w, &scenario.Event{Action: "degrade_apiserver", Params: params})
 }

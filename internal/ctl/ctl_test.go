@@ -150,30 +150,68 @@ func TestRunTrafficLifecycle(t *testing.T) {
 }
 
 func TestCommandErrors(t *testing.T) {
-	cases := []struct{ script, want string }{
-		{"run-traffic warp 64\n", "unknown pattern"},
-		{"run-traffic alltoall zero\n", `bytes wants a positive integer, got "zero"`},
-		{"fail-link a b\n", "integer arguments"},
-		{"step backwards\n", "positive duration"},
-		{"cordon\n", "usage: cordon <node>"},
-		{"cordon nope\n", "error:"},
-		{"links -top x\n", "-top wants a positive integer"},
-		{"metrics\n", "telemetry disabled"},
+	cases := []struct{ setup, cmd, want string }{
+		{"", "run-traffic warp 64", "unknown pattern"},
+		{"", "run-traffic alltoall zero", `bytes wants a positive integer, got "zero"`},
+		{"", "fail-link a b", `groups: "a" is not a valid group index`},
+		{"", "step backwards", "positive duration"},
+		{"", "cordon", "usage: cordon <node>"},
+		{"", "cordon nope", "error:"},
+		{"", "links -top x", "-top wants a positive integer"},
+		{"", "metrics", "telemetry disabled"},
 		// The default fleet boots without a health: section, so the
 		// health-loop commands must refuse with a pointer to the fix, and
 		// malformed link coordinates must name the bad value, not panic.
-		{"health\n", "health loop disabled"},
-		{"remediate\n", "usage: remediate <node>"},
-		{"remediate node0\n", "health loop disabled"},
-		{"fail-link 0 1 9\n", "no index 9"},
-		{"fail-link 0 9 0\n", "error:"},
+		{"", "health", "health loop disabled"},
+		{"", "remediate", "usage: remediate <node>"},
+		{"", "remediate node0", "requires a health: section"},
+		{"", "fail-link 0 1 9", `link: must be 0..1, got "9"`},
+		{"", "fail-link 0 9 0", "error:"},
+		// A negative link index must not fall through to "every link of
+		// the pair": the validator YAML events pass rejects it.
+		{"", "fail-link 0 1 -2", `link: must be 0..1, got "-2"`},
+		{"fail-link 0 1 0", "recover-link 0 1 -5", `link: must be 0..1, got "-5"`},
+		{"", "degrade-apiserver 0.5", "latency_factor: must be a number ≥ 1"},
+		{"", "break-watch vnis", "kind: must be one of"},
 	}
 	for _, tc := range cases {
-		got := runSession(t, nil, tc.script+"quit\n")
+		srv, err := New(nil)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		srv.Ops().TakeLog() // the boot narration
+		if tc.setup != "" {
+			srv.Execute(io.Discard, tc.setup)
+		}
+		before := linkStates(srv)
+		var out bytes.Buffer
+		srv.Execute(&out, tc.cmd)
+		got := out.String()
 		if !strings.Contains(got, tc.want) {
-			t.Errorf("script %q: transcript missing %q:\n%s", tc.script, tc.want, got)
+			t.Errorf("%q: output missing %q:\n%s", tc.cmd, tc.want, got)
+		}
+		// A rejected command has no effect: nothing narrated, no link
+		// state changed.
+		if strings.Contains(got, "  [") {
+			t.Errorf("%q: rejected command narrated an action:\n%s", tc.cmd, got)
+		}
+		if after := linkStates(srv); after != before {
+			t.Errorf("%q: link states changed: %s -> %s", tc.cmd, before, after)
 		}
 	}
+}
+
+// linkStates renders every fabric link's up/down state.
+func linkStates(srv *Server) string {
+	var b strings.Builder
+	for _, l := range srv.Ops().Stack().Topo.Links() {
+		if l.Down {
+			b.WriteByte('D')
+		} else {
+			b.WriteByte('u')
+		}
+	}
+	return b.String()
 }
 
 // TestMetricsCommands drives the telemetry-backed metrics commands: the

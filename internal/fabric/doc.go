@@ -21,7 +21,7 @@
 // packet path — the seed implementation serialized every hop through a
 // global Topology mutex, which measured as pure overhead because no second
 // goroutine ever exists per engine. Concurrency across *engines* (e.g.
-// `shssim run -workers N` executing independent scenarios in parallel) is
+// `shssim run -parallel N` executing independent scenarios in parallel) is
 // safe: each scenario owns a private Engine, Topology and NIC set, and the
 // only shared state is the package-level sync.Pools recycling event
 // argument structs, which are safe for concurrent use.

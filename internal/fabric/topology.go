@@ -157,7 +157,7 @@ type Topology struct {
 }
 
 // NewTopology wires a fabric from spec. A 1×1 spec is byte-for-byte the
-// single switch the seed deployment used; 1×n is the classic Mesh.
+// single switch the seed deployment used; 1×n is one fully meshed group.
 func NewTopology(eng *sim.Engine, cfg Config, spec TopologySpec) *Topology {
 	spec, err := spec.Normalize()
 	if err != nil {

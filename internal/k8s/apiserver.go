@@ -726,7 +726,9 @@ func (a *APIServer) RemoveFinalizer(kind Kind, namespace, name, f string) *Respo
 // UpdateStatus applies fn to a private copy of the stored object
 // synchronously (status writes from node agents are modelled as cheap).
 // When fn reports a change the copy is committed and watchers are
-// notified; otherwise it is dropped and the store is untouched.
+// notified; otherwise it is dropped and the store is untouched. It ignores
+// the availability model (Client.UpdateStatus applies it), so harnesses
+// and tests can write status during an outage.
 func (a *APIServer) UpdateStatus(kind Kind, namespace, name string, fn func(Object) bool) bool {
 	s := a.store(kind)
 	key := namespace + "/" + name
@@ -741,15 +743,4 @@ func (a *APIServer) UpdateStatus(kind Kind, namespace, name string, fn func(Obje
 		a.notify(EventModified, cp)
 	}
 	return true
-}
-
-// TryUpdateStatus is UpdateStatus with the availability model applied: it
-// returns ErrUnavailable instead of committing while the apiserver is down
-// (or when a degraded-mode error is drawn). UpdateStatus itself stays
-// fault-oblivious — the privileged path harnesses and tests use.
-func (a *APIServer) TryUpdateStatus(kind Kind, namespace, name string, fn func(Object) bool) (bool, error) {
-	if err := a.admitWrite(); err != nil {
-		return false, err
-	}
-	return a.UpdateStatus(kind, namespace, name, fn), nil
 }

@@ -394,7 +394,6 @@ func sortedValues(src map[string]Object) []Object {
 type Client struct {
 	api       *APIServer
 	informers map[Kind]*Informer
-	retry     RetryConfig
 	stats     CPStats
 	// prober is the fault-recovery resync tick (EnableFaultRecovery).
 	prober   sim.Event
@@ -405,39 +404,26 @@ func newClient(api *APIServer) *Client {
 	return &Client{
 		api:       api,
 		informers: make(map[Kind]*Informer),
-		retry:     DefaultRetryConfig(),
 	}
 }
 
-// RetryConfig governs the client-side fault handling: the jittered
-// exponential backoff the *WithRetry helpers apply on unavailability, and
-// the per-attempt deadline armed once the fault layer is armed.
-type RetryConfig struct {
-	// Budget is how many times a request is reissued after transient
-	// failures before ErrRetriesExhausted.
-	Budget int
-	// BaseBackoff is the first retry delay; it doubles per retry up to
-	// MaxBackoff, each draw jittered by Jitter (uniform fraction).
-	BaseBackoff sim.Duration
-	MaxBackoff  sim.Duration
-	Jitter      float64
-	// Deadline bounds each attempt once faults are armed; a request that
-	// has not committed by then is dropped on the wire and fails with
-	// ErrTimeout. Zero disables deadlines.
-	Deadline sim.Duration
-}
-
-// DefaultRetryConfig sizes the budget so the total backoff span (~4s)
-// outlasts the outage windows the chaos scenarios inject.
-func DefaultRetryConfig() RetryConfig {
-	return RetryConfig{
-		Budget:      10,
-		BaseBackoff: 20 * time.Millisecond,
-		MaxBackoff:  800 * time.Millisecond,
-		Jitter:      0.5,
-		Deadline:    250 * time.Millisecond,
-	}
-}
+// The client's retry policy, applied to every write. A request that fails
+// with ErrUnavailable or ErrTimeout is reissued up to retryBudget times,
+// after a backoff that starts at baseBackoff, doubles per retry up to
+// maxBackoff and is jittered by backoffJitter (uniform fraction); the
+// budget's total span (~4.4s) outlasts the outage windows the chaos
+// scenarios inject. Once the fault layer is armed each attempt has
+// requestDeadline to commit before it is dropped on the wire with
+// ErrTimeout. While the layer is disarmed no write can fail transiently,
+// so the policy arms no timer and draws no jitter, and a write behaves
+// exactly like the bare server request.
+const (
+	retryBudget     = 10
+	baseBackoff     = 20 * time.Millisecond
+	maxBackoff      = 800 * time.Millisecond
+	backoffJitter   = 0.5
+	requestDeadline = 250 * time.Millisecond
+)
 
 // CPStats aggregates the control-plane fault-layer counters: retry-layer
 // activity on the client plus relist/staleness counters from the shared
@@ -505,34 +491,56 @@ func (c *Client) Watch(kind Kind, opts WatchOptions, handler func(Event)) {
 	inf.handlers = append(inf.handlers, &watchReg{opts: opts, handler: handler})
 }
 
-// Create submits obj; the Response completes after the API round trip.
-func (c *Client) Create(obj Object) *Response { return c.api.Create(obj) }
-
-// Update submits a conflict-checked replacement of obj (see
-// APIServer.Update for the ResourceVersion semantics).
-func (c *Client) Update(obj Object) *Response { return c.api.Update(obj) }
-
-// Delete begins deletion of the named object.
-func (c *Client) Delete(kind Kind, namespace, name string) *Response {
-	return c.api.Delete(kind, namespace, name)
-}
-
-// RemoveFinalizer removes f from the named object.
-func (c *Client) RemoveFinalizer(kind Kind, namespace, name, f string) *Response {
-	return c.api.RemoveFinalizer(kind, namespace, name, f)
-}
-
 // Get performs a live (quorum) read, returning a private copy the caller
 // may mutate — the read-modify-write half of an optimistic update.
 func (c *Client) Get(kind Kind, namespace, name string) (Object, bool) {
 	return c.api.Get(kind, namespace, name)
 }
 
+// Create submits obj; the Response completes after the API round trip.
+// Like every Client write, it runs behind the retry policy.
+func (c *Client) Create(obj Object) *Response {
+	return c.retryWrite(func() *Response { return c.api.Create(obj) })
+}
+
+// Update submits a conflict-checked replacement of obj (see
+// APIServer.Update for the ResourceVersion semantics). ErrConflict passes
+// through; callers needing read-modify-write semantics use UpdateWithRetry.
+func (c *Client) Update(obj Object) *Response {
+	return c.retryWrite(func() *Response { return c.api.Update(obj) })
+}
+
+// Delete begins deletion of the named object.
+func (c *Client) Delete(kind Kind, namespace, name string) *Response {
+	return c.retryWrite(func() *Response { return c.api.Delete(kind, namespace, name) })
+}
+
+// RemoveFinalizer removes f from the named object. A finalizer removal
+// dropped to an apiserver outage would wedge its object's deletion
+// forever, which is why it too retries.
+func (c *Client) RemoveFinalizer(kind Kind, namespace, name, f string) *Response {
+	return c.retryWrite(func() *Response { return c.api.RemoveFinalizer(kind, namespace, name, f) })
+}
+
 // UpdateStatus applies fn to a private copy of the stored object and
-// commits it synchronously when fn reports a change (node agents' cheap
-// status writes).
-func (c *Client) UpdateStatus(kind Kind, namespace, name string, fn func(Object) bool) bool {
-	return c.api.UpdateStatus(kind, namespace, name, fn)
+// commits it synchronously when fn reports a change — the node agents'
+// cheap status write. On a healthy server the Response is complete on
+// return; while the server is unavailable the write is queued behind the
+// backoff. A missing object completes with ErrNotFound (the object was
+// deleted; the status write is moot).
+func (c *Client) UpdateStatus(kind Kind, namespace, name string, fn func(Object) bool) *Response {
+	return c.retryWrite(func() *Response {
+		r := &Response{}
+		switch err := c.api.admitWrite(); {
+		case err != nil:
+			r.complete(err)
+		case !c.api.UpdateStatus(kind, namespace, name, fn):
+			r.complete(fmt.Errorf("%w: %s %s/%s", ErrNotFound, kind, namespace, name))
+		default:
+			r.complete(nil)
+		}
+		return r
+	})
 }
 
 // withDeadline arms a client-side deadline on an in-flight request once
@@ -542,107 +550,61 @@ func (c *Client) UpdateStatus(kind Kind, namespace, name string, fn func(Object)
 // ErrTimeout. Fault-free sessions never arm timers, keeping their event
 // streams byte-identical.
 func (c *Client) withDeadline(r *Response) *Response {
-	if r.completed || c.retry.Deadline <= 0 || !c.api.FaultsArmed() {
+	if r.completed || !c.api.FaultsArmed() {
 		return r
 	}
-	t := c.api.eng.After(c.retry.Deadline, func() { r.abandon(ErrTimeout) })
+	t := c.api.eng.After(requestDeadline, func() { r.abandon(ErrTimeout) })
 	r.Done(func(error) { t.Cancel() })
 	return r
 }
 
 // backoffDelay draws one jittered backoff interval.
 func (c *Client) backoffDelay(d sim.Duration) sim.Duration {
-	if d > c.retry.MaxBackoff {
-		d = c.retry.MaxBackoff
-	}
-	return c.api.eng.Jitter(d, c.retry.Jitter)
+	return c.api.eng.Jitter(min(d, maxBackoff), backoffJitter)
 }
 
 // retryWrite issues issue() under the deadline, and on unavailability or
 // timeout reissues it after a jittered exponential backoff until the retry
-// budget is spent, then completes resp with ErrRetriesExhausted wrapping
-// the final error. Non-transient errors pass through unchanged.
-func (c *Client) retryWrite(resp *Response, issue func() *Response) {
-	var attempt func(left int, backoff sim.Duration)
-	attempt = func(left int, backoff sim.Duration) {
-		c.withDeadline(issue()).Done(func(err error) {
-			if err == nil || !retriable(err) {
-				resp.complete(err)
-				return
-			}
-			if errors.Is(err, ErrTimeout) {
-				c.stats.Timeouts++
-			}
-			if left <= 0 {
-				c.stats.Exhausted++
-				resp.complete(fmt.Errorf("%w: %w", ErrRetriesExhausted, err))
-				return
-			}
-			c.stats.Retries++
-			c.api.eng.After(c.backoffDelay(backoff), func() {
-				attempt(left-1, min(backoff*2, c.retry.MaxBackoff))
-			})
-		})
+// budget is spent, then completes the returned Response with
+// ErrRetriesExhausted wrapping the final error. Non-transient errors pass
+// through unchanged.
+func (c *Client) retryWrite(issue func() *Response) *Response {
+	w := &retryingWrite{c: c, issue: issue, left: retryBudget, backoff: baseBackoff}
+	w.attempt()
+	return &w.resp
+}
+
+// retryingWrite is one write under the retry policy. Its attempts share
+// one allocation, which also holds the Response the caller gets.
+type retryingWrite struct {
+	c       *Client
+	issue   func() *Response
+	resp    Response
+	left    int
+	backoff sim.Duration
+}
+
+func (w *retryingWrite) attempt() { w.c.withDeadline(w.issue()).Done(w.done) }
+
+func (w *retryingWrite) done(err error) {
+	c := w.c
+	if err == nil || !retriable(err) {
+		w.resp.complete(err)
+		return
 	}
-	attempt(c.retry.Budget, c.retry.BaseBackoff)
-}
-
-// CreateWithRetry is Create behind the retry layer: transient apiserver
-// failures are retried with jittered exponential backoff instead of being
-// surfaced to the controller. On a fault-free server it behaves exactly
-// like Create.
-func (c *Client) CreateWithRetry(obj Object) *Response {
-	resp := &Response{}
-	c.retryWrite(resp, func() *Response { return c.api.Create(obj) })
-	return resp
-}
-
-// UpdateWithBackoff is a conflict-checked Update behind the retry layer.
-// ErrConflict passes through (callers needing read-modify-write semantics
-// use UpdateWithRetry); unavailability and timeouts are retried.
-func (c *Client) UpdateWithBackoff(obj Object) *Response {
-	resp := &Response{}
-	c.retryWrite(resp, func() *Response { return c.api.Update(obj) })
-	return resp
-}
-
-// DeleteWithRetry is Delete behind the retry layer.
-func (c *Client) DeleteWithRetry(kind Kind, namespace, name string) *Response {
-	resp := &Response{}
-	c.retryWrite(resp, func() *Response { return c.api.Delete(kind, namespace, name) })
-	return resp
-}
-
-// RemoveFinalizerWithRetry is RemoveFinalizer behind the retry layer: a
-// finalizer removal dropped to an apiserver outage would wedge its
-// object's deletion forever, so controllers must queue it with backoff.
-func (c *Client) RemoveFinalizerWithRetry(kind Kind, namespace, name, f string) *Response {
-	resp := &Response{}
-	c.retryWrite(resp, func() *Response { return c.api.RemoveFinalizer(kind, namespace, name, f) })
-	return resp
-}
-
-// UpdateStatusWithRetry is the node agents' status write behind the retry
-// layer: synchronous and indistinguishable from UpdateStatus on a healthy
-// server, queued behind jittered backoff while it is unavailable. A
-// missing object completes with ErrNotFound (the object was deleted; the
-// status write is moot).
-func (c *Client) UpdateStatusWithRetry(kind Kind, namespace, name string, fn func(Object) bool) *Response {
-	resp := &Response{}
-	c.retryWrite(resp, func() *Response {
-		r := &Response{}
-		ok, err := c.api.TryUpdateStatus(kind, namespace, name, fn)
-		switch {
-		case err != nil:
-			r.complete(err)
-		case !ok:
-			r.complete(fmt.Errorf("%w: %s %s/%s", ErrNotFound, kind, namespace, name))
-		default:
-			r.complete(nil)
-		}
-		return r
-	})
-	return resp
+	if errors.Is(err, ErrTimeout) {
+		c.stats.Timeouts++
+	}
+	if w.left <= 0 {
+		c.stats.Exhausted++
+		w.resp.complete(fmt.Errorf("%w: %w", ErrRetriesExhausted, err))
+		return
+	}
+	c.stats.Retries++
+	delay := c.backoffDelay(w.backoff)
+	w.left--
+	w.backoff = min(w.backoff*2, maxBackoff)
+	c.api.eng.After(delay, w.attempt)
 }
 
 // maxUpdateRetries bounds UpdateWithRetry's consecutive-conflict cap; in a
@@ -656,7 +618,7 @@ const maxUpdateRetries = 16
 // the first conflict (the common lost-race case), behind a jittered
 // exponential backoff on consecutive conflicts, and never more than
 // maxUpdateRetries times before failing with ErrRetriesExhausted.
-// Unavailability and timeouts are retried under the RetryConfig budget.
+// Unavailability and timeouts are retried under the client's retry budget.
 // mutate returning false skips the write and completes the Response with
 // nil (nothing to do). mutate may be called several times and must
 // therefore be idempotent against the object it is handed.
@@ -693,7 +655,7 @@ func (c *Client) UpdateWithRetry(kind Kind, namespace, name string, mutate func(
 					return
 				}
 				c.api.eng.After(c.backoffDelay(backoff), func() {
-					attempt(conflicts+1, budget, min(backoff*2, c.retry.MaxBackoff))
+					attempt(conflicts+1, budget, min(backoff*2, maxBackoff))
 				})
 			case retriable(err):
 				if errors.Is(err, ErrTimeout) {
@@ -706,14 +668,14 @@ func (c *Client) UpdateWithRetry(kind Kind, namespace, name string, mutate func(
 				}
 				c.stats.Retries++
 				c.api.eng.After(c.backoffDelay(backoff), func() {
-					attempt(conflicts, budget-1, min(backoff*2, c.retry.MaxBackoff))
+					attempt(conflicts, budget-1, min(backoff*2, maxBackoff))
 				})
 			default:
 				resp.complete(err)
 			}
 		})
 	}
-	attempt(0, c.retry.Budget, c.retry.BaseBackoff)
+	attempt(0, retryBudget, baseBackoff)
 	return resp
 }
 

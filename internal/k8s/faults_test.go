@@ -20,7 +20,7 @@ func TestOutageFailsWritesRetryRecovers(t *testing.T) {
 	if api.Availability() != AvailDown {
 		t.Fatalf("availability = %v, want down", api.Availability())
 	}
-	resp := cli.CreateWithRetry(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
+	resp := cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
 
 	eng.RunFor(300 * time.Millisecond)
 	if resp.Completed() {
@@ -48,7 +48,7 @@ func TestRetriesExhaustedTyped(t *testing.T) {
 	cli := api.Client()
 
 	api.FailAPIServer()
-	resp := cli.CreateWithRetry(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
+	resp := cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
 	eng.Run()
 
 	err := resp.Err()
@@ -166,7 +166,7 @@ func TestDegradedModeErrorsAndLatency(t *testing.T) {
 	// eventually lands; some retries must have happened across 20 writes.
 	var resps []*Response
 	for i := 0; i < 20; i++ {
-		resps = append(resps, cli.CreateWithRetry(&Pod{
+		resps = append(resps, cli.Create(&Pod{
 			Meta: Meta{Kind: KindPod, Namespace: "ns", Name: fmt.Sprintf("p%02d", i)},
 		}))
 	}
@@ -181,7 +181,7 @@ func TestDegradedModeErrorsAndLatency(t *testing.T) {
 	}
 
 	api.RecoverAPIServer()
-	resp := cli.CreateWithRetry(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "after"}})
+	resp := cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "after"}})
 	eng.Run()
 	if err := resp.Err(); err != nil {
 		t.Fatalf("write after recovery: %v", err)
@@ -199,7 +199,7 @@ func TestDeadlineTimesOutSlowRequests(t *testing.T) {
 	// Latency factor 1000 puts every commit (~6s) far past the 250ms
 	// deadline: all attempts time out and the budget drains.
 	api.DegradeAPIServer(1000, 0)
-	resp := cli.CreateWithRetry(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
+	resp := cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
 	eng.Run()
 
 	err := resp.Err()
@@ -224,7 +224,7 @@ func TestStatusWriteRetriesAcrossOutage(t *testing.T) {
 	mustCreate(t, eng, api, &Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
 
 	api.FailAPIServer()
-	resp := cli.UpdateStatusWithRetry(KindPod, "ns", "p", func(obj Object) bool {
+	resp := cli.UpdateStatus(KindPod, "ns", "p", func(obj Object) bool {
 		obj.(*Pod).Status.Phase = PodRunning
 		return true
 	})

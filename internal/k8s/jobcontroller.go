@@ -176,7 +176,7 @@ func (c *JobController) reconcile(key string) {
 	}
 	c.created[key] = n + 1
 	c.lastOp = c.cli.Engine().Now()
-	c.cli.CreateWithRetry(pod).Done(func(err error) {
+	c.cli.Create(pod).Done(func(err error) {
 		if err != nil {
 			c.created[key]--
 			// Retry budget spent against an unavailable apiserver: the
@@ -282,7 +282,7 @@ func (c *JobController) onPodUpdate(pod *Pod) {
 			return
 		}
 		c.cli.Engine().After(ttl, func() {
-			c.cli.DeleteWithRetry(KindJob, ns, jobName)
+			c.cli.Delete(KindJob, ns, jobName)
 		})
 	})
 }

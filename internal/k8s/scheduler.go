@@ -237,7 +237,7 @@ func (s *Scheduler) bind(key string) {
 	pod.Spec.NodeName = node
 	pod.Status.Phase = PodScheduled
 	s.assumed[key] = assumedBinding{node: node, job: jobKeyOf(pod)}
-	s.cli.UpdateWithBackoff(pod).Done(func(err error) {
+	s.cli.Update(pod).Done(func(err error) {
 		if err == nil {
 			return
 		}

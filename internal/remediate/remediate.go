@@ -297,7 +297,7 @@ func (c *Controller) evict(r *nodeRun) {
 		// Evictions ride the retry layer so a drain that spans an apiserver
 		// outage still completes: the deletes are queued with backoff, and
 		// pollDrain keeps polling until the node empties.
-		c.cli.DeleteWithRetry(k8s.KindPod, pod.Meta.Namespace, pod.Meta.Name)
+		c.cli.Delete(k8s.KindPod, pod.Meta.Namespace, pod.Meta.Name)
 		evicted++
 	}
 	c.pollDrain(r, evicted)

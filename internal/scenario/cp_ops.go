@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -91,13 +90,8 @@ func (r *Ops) recoverAPIServer() error {
 // until the client's gap prober notices the informer falling behind and
 // relists.
 func (r *Ops) breakWatch(ev *Event) error {
-	kind, ok := cpWatchKinds[ev.Params["kind"]]
-	if !ok {
-		return fmt.Errorf("break_watch: kind must be one of %s, got %q",
-			cpWatchKindNames(), ev.Params["kind"])
-	}
 	r.armCP()
-	n := r.st.Cluster.Client.API().BreakWatch(kind)
+	n := r.st.Cluster.Client.API().BreakWatch(cpWatchKinds[ev.Params["kind"]])
 	r.logf("broke %d %s watch stream(s): caches drift silently until relisted", n, ev.Params["kind"])
 	return nil
 }

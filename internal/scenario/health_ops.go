@@ -246,29 +246,13 @@ type errorInjector struct {
 	acc  float64
 }
 
-// errHealthDisabled gates the health actions when interactive mode runs
-// them against a scenario without a health: section (YAML runs are
-// already rejected by Validate).
-func (r *Ops) errHealthDisabled() error {
-	if r.daemon == nil {
-		return fmt.Errorf("health loop disabled (scenario has no health: section)")
-	}
-	return nil
-}
-
 // slowDrainNIC starts a background error-counter injector against one
 // node's NIC: the link stays up and carries traffic, but its corrected-
 // error rate climbs — the classic slow-drain failure the health daemon
 // exists to catch. rate is errors/s (default 1000); duration bounds the
 // injection (default: until the node is replaced).
 func (r *Ops) slowDrainNIC(ev *Event) error {
-	if err := r.errHealthDisabled(); err != nil {
-		return err
-	}
 	node := ev.Target
-	if _, ok := r.st.NodeByName(node); !ok {
-		return fmt.Errorf("unknown node %q", node)
-	}
 	rate, _ := strconv.ParseFloat(ev.Param("rate", "1000"), 64)
 	var deadline sim.Time
 	if d := ev.Params["duration"]; d != "" {
@@ -306,13 +290,7 @@ func (r *Ops) slowDrainNIC(ev *Event) error {
 // the given period (default 3 cycles of 300ms), ending up — the
 // intermittent-link signature the daemon's flap detector latches on.
 func (r *Ops) flapTrunk(ev *Event) error {
-	if err := r.errHealthDisabled(); err != nil {
-		return err
-	}
-	i, j, err := r.sc.trunkPair(ev, ev.Params["switches"])
-	if err != nil {
-		return err
-	}
+	i, j, _ := r.sc.trunkPair(ev, "")
 	period, _ := time.ParseDuration(ev.Param("period", "300ms"))
 	count, _ := strconv.Atoi(ev.Param("count", "3"))
 	r.markFault(canonLinkKey("trunk", i, j))
@@ -329,9 +307,6 @@ func (r *Ops) flapTrunk(ev *Event) error {
 // execRemediate hands a node to the remediation controller by operator
 // decree (the ctl `remediate` command and the remediate event).
 func (r *Ops) execRemediate(ev *Event) error {
-	if err := r.errHealthDisabled(); err != nil {
-		return err
-	}
 	r.logf("operator remediation of %s", ev.Target)
 	return r.remediator.Remediate(ev.Target)
 }
@@ -341,9 +316,6 @@ func (r *Ops) execRemediate(ev *Event) error {
 // the scheduler's cordon view caught up with the API). count: 0 waits
 // for quiescence alone, however many remediations that takes.
 func (r *Ops) waitRemediated(ev *Event) error {
-	if err := r.errHealthDisabled(); err != nil {
-		return err
-	}
 	count, _ := strconv.Atoi(ev.Param("count", "1"))
 	timeout, _ := time.ParseDuration(ev.Param("timeout", "60s"))
 	ok := r.st.Eng.RunUntilDone(func() bool {

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
@@ -19,7 +18,6 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/telemetry"
 	"github.com/caps-sim/shs-k8s/internal/vniapi"
 	"github.com/caps-sim/shs-k8s/internal/vnidb"
-	"github.com/caps-sim/shs-k8s/internal/vnisvc"
 	"github.com/caps-sim/shs-k8s/internal/workload"
 )
 
@@ -122,100 +120,15 @@ func (r *Ops) logf(format string, args ...any) {
 }
 
 // Exec executes one event against the stack. Events must have passed
-// Validate (unknown actions and malformed parameters are rejected there);
-// Exec errors are runtime failures — unknown jobs, dead NICs, timeouts.
+// Validate or ValidateEvent (unknown actions and malformed parameters are
+// rejected there); Exec errors are runtime failures — unknown jobs, dead
+// NICs, timeouts.
 func (r *Ops) Exec(ev *Event) error {
-	switch ev.Action {
-	case "start_fleet":
-		return r.startFleet()
-	case "run_for":
-		d, _ := time.ParseDuration(ev.Params["duration"])
-		r.st.Eng.RunFor(d)
-		return nil
-	case "log":
-		r.logf("%s", ev.Params["message"])
-		return nil
-	case "submit_job":
-		return r.submitJob(ev)
-	case "delete_job":
-		key := ev.Params["tenant"] + "/" + ev.Params["name"]
-		if _, ok := r.submitted[key]; !ok {
-			return fmt.Errorf("job %s was never submitted", key)
-		}
-		r.st.Cluster.Client.Delete(k8s.KindJob, ev.Params["tenant"], ev.Params["name"])
-		r.logf("deleted job %s", key)
-		return nil
-	case "create_claim":
-		r.st.Cluster.Client.Create(vnisvc.NewClaim(ev.Params["tenant"], ev.Params["name"], ev.Params["name"]))
-		r.logf("created claim %s/%s", ev.Params["tenant"], ev.Params["name"])
-		return nil
-	case "delete_claim":
-		r.st.Cluster.Client.Delete(vniapi.KindVniClaim, ev.Params["tenant"], ev.Params["name"])
-		r.logf("deleted claim %s/%s", ev.Params["tenant"], ev.Params["name"])
-		return nil
-	case "churn_jobs":
-		return r.churnJobs(ev)
-	case "inject_nic_failure":
-		r.logf("injecting NIC failure on %s", ev.Target)
-		r.markFault(ev.Target)
-		return r.st.FailNIC(ev.Target)
-	case "recover_nic":
-		r.logf("recovering NIC on %s", ev.Target)
-		return r.st.RecoverNIC(ev.Target)
-	case "cordon":
-		r.logf("cordoning %s", ev.Target)
-		return r.st.Cluster.Scheduler.SetCordon(ev.Target, true)
-	case "uncordon":
-		r.logf("uncordoning %s", ev.Target)
-		return r.st.Cluster.Scheduler.SetCordon(ev.Target, false)
-	case "partition_fabric":
-		nodes := splitList(ev.Params["nodes"])
-		r.logf("partitioning fabric: %v vs rest", nodes)
-		return r.st.PartitionFabric(nodes)
-	case "heal_partition":
-		r.st.HealPartition()
-		r.logf("fabric partition healed")
-		return nil
-	case "fail_link":
-		return r.setLink(ev, true)
-	case "recover_link":
-		return r.setLink(ev, false)
-	case "slow_drain_nic":
-		return r.slowDrainNIC(ev)
-	case "flap_trunk":
-		return r.flapTrunk(ev)
-	case "remediate":
-		return r.execRemediate(ev)
-	case "wait_remediated":
-		return r.waitRemediated(ev)
-	case "fail_apiserver":
-		return r.failAPIServer()
-	case "degrade_apiserver":
-		return r.degradeAPIServer(ev)
-	case "recover_apiserver":
-		return r.recoverAPIServer()
-	case "break_watch":
-		return r.breakWatch(ev)
-	case "probe_isolation":
-		return r.probeIsolation()
-	case "pingpong":
-		return r.pingpong(ev)
-	case "run_traffic":
-		return r.runTraffic(ev)
-	case "wait_running":
-		return r.waitRunning(ev)
-	case "wait_jobs_complete":
-		return r.waitJobsComplete(ev)
-	case "resync_vni":
-		if r.st.VNISvc == nil {
-			return fmt.Errorf("vni service not installed")
-		}
-		r.st.VNISvc.Resync()
-		r.logf("requeued vni controllers")
-		return nil
-	default:
-		return fmt.Errorf("unimplemented action") // unreachable: Validate rejects unknown actions
+	a, ok := actions[ev.Action]
+	if !ok {
+		return fmt.Errorf("unknown action %q", ev.Action) // unreachable after validation
 	}
+	return a.exec(r, ev)
 }
 
 // setLink executes fail_link/recover_link: a global-link pair addressed by
@@ -673,13 +586,7 @@ func (r *Ops) runTraffic(ev *Event) error {
 	name := ev.Params["traffic"]
 	runName := ev.Param("as", name)
 	timeout, _ := time.ParseDuration(ev.Param("timeout", "60s"))
-	var spec *TrafficSpec
-	for i := range r.sc.Traffic {
-		if r.sc.Traffic[i].Name == name {
-			spec = &r.sc.Traffic[i]
-			break
-		}
-	}
+	spec := r.sc.trafficSpec(name)
 	if spec == nil {
 		return fmt.Errorf("unknown traffic %q", name) // unreachable: Validate checked
 	}
@@ -761,139 +668,11 @@ func (r *Ops) runTraffic(ev *Event) error {
 // Assertions normally run after the event timeline (RunHooked), but every
 // probe reads live state, so interactive mode can evaluate them mid-run.
 func (r *Ops) Actual(a Assertion) float64 {
-	switch a.Type {
-	case "vnis_allocated":
-		return float64(r.st.DB.Stats().Allocated)
-	case "vnis_quarantined":
-		return float64(r.st.DB.Stats().Quarantined)
-	case "jobs_completed":
-		return float64(r.completedCount(a.Target))
-	case "jobs_pending":
-		n := 0
-		for _, obj := range r.jobs.List(a.Target) {
-			job := obj.(*k8s.Job)
-			if !job.Status.Completed {
-				n++
-			}
-		}
-		return float64(n)
-	case "pods_running":
-		return float64(r.runningPods(a.Target, ""))
-	case "isolation_violations":
-		return float64(r.violations)
-	case "switch_drops":
-		reason, _ := fabric.DropReasonByName(a.Target)
-		return float64(r.st.Topo.Stats().Drops[reason])
-	case "switch_forwarded":
-		return float64(r.st.Topo.Stats().Forwarded)
-	case "trunk_drops":
-		return float64(r.st.Topo.TrunkDrops())
-	case "global_link_bytes":
-		return float64(r.st.Topo.GlobalLinkBytes())
-	case "max_link_utilization":
-		max := 0.0
-		for _, l := range r.st.Topo.Links() {
-			if l.Utilization > max {
-				max = l.Utilization
-			}
-		}
-		return max
-	case "latency_us":
-		s := metrics.Summarize(r.latUs)
-		switch a.Target {
-		case "p50":
-			return s.P50
-		case "p90":
-			return s.P90
-		case "p99":
-			return metrics.Percentile(r.latUs, 99)
-		case "max":
-			return s.Max
-		case "mean":
-			return s.Mean
-		}
-	case "traffic_time_us":
-		return float64(r.traffic[a.Target].Elapsed) / float64(time.Microsecond)
-	case "traffic_mpi_bytes":
-		return float64(r.traffic[a.Target].MPIBytes)
-	case "traffic_global_bytes":
-		return float64(r.traffic[a.Target].GlobalLinkBytes)
-	case "traffic_ratio":
-		parts := strings.SplitN(a.Target, "/", 2)
-		num, den := r.traffic[parts[0]].Elapsed, r.traffic[parts[1]].Elapsed
-		if den == 0 {
-			return 0
-		}
-		return float64(num) / float64(den)
-	case "sync_errors":
-		if r.st.VNISvc == nil {
-			return 0
-		}
-		return float64(r.st.VNISvc.Endpoint.Stats().SyncErrors)
-	case "distinct_tenant_vnis":
-		seen := map[string]string{} // vni value -> namespace
-		for _, t := range r.sc.Fleet.Tenants {
-			for _, obj := range r.vnis.List(t.Name) {
-				cr := obj.(*k8s.Custom)
-				if cr.Spec[vniapi.SpecVirtual] == "true" {
-					continue
-				}
-				v := cr.Spec[vniapi.SpecVNI]
-				if ns, dup := seen[v]; dup && ns != t.Name {
-					return 0
-				}
-				seen[v] = t.Name
-			}
-		}
-		return 1
-	case "time_to_detect_us":
-		return r.detectUs[a.Target]
-	case "time_to_recover_us":
-		return r.recoverUs[a.Target]
-	case "nodes_cordoned":
-		n := 0
-		for _, node := range r.st.Nodes {
-			if r.st.Cluster.Scheduler.Cordoned(node.Name) {
-				n++
-			}
-		}
-		return float64(n)
-	case "remediations_done":
-		if r.remediator == nil {
-			return 0
-		}
-		return float64(r.remediator.Done())
-	case "traffic_migrations":
-		return float64(r.traffic[a.Target].Migrations)
-	case "telemetry_samples":
-		if r.sampler == nil {
-			return 0
-		}
-		return float64(r.sampler.Len())
-	case "telemetry_peak_link_utilization":
-		if r.sampler == nil {
-			return 0
-		}
-		return r.sampler.PeakLinkUtilization()
-	case "apiserver_retries":
-		return float64(r.st.Cluster.Client.Stats().Retries)
-	case "watch_relists":
-		return float64(r.st.Cluster.Client.Stats().Relists)
-	case "stale_reads":
-		return float64(r.st.Cluster.Client.Stats().StaleReads)
-	case "max_staleness_us":
-		return r.st.Cluster.Client.Stats().MaxStalenessUs
-	case "cp_converged":
-		// 1 when every informer cache matches the API server's store
-		// exactly — the eventual-convergence check. Fault-free runs read 1
-		// by construction (caches only drift when a fault event broke a
-		// watch or an outage delayed deliveries past run end).
-		if r.st.Cluster.Client.VerifyCaches() == nil {
-			return 1
-		}
-		return 0
+	d, ok := assertions[a.Type]
+	if !ok {
+		return 0 // unreachable: Validate rejects unknown types
 	}
-	return 0 // unreachable: Validate rejects unknown types
+	return d.actual(r, a.Target)
 }
 
 type nullReceiver struct{}

@@ -640,113 +640,6 @@ func (sc *Scenario) decodeAssertions(v *value) error {
 	return nil
 }
 
-// actionSpec declares an action's parameter schema for validation.
-type actionSpec struct {
-	// needsTarget: "" (target forbidden), "node", or "free".
-	needsTarget string
-	required    []string
-	optional    []string
-}
-
-// actions is the catalogue of event actions; docs/scenarios.md documents
-// each one.
-var actions = map[string]actionSpec{
-	"start_fleet":        {},
-	"run_for":            {required: []string{"duration"}},
-	"log":                {required: []string{"message"}},
-	"submit_job":         {required: []string{"tenant", "name"}, optional: []string{"pods", "runtime", "vni"}},
-	"delete_job":         {required: []string{"tenant", "name"}},
-	"create_claim":       {required: []string{"tenant", "name"}},
-	"delete_claim":       {required: []string{"tenant", "name"}},
-	"churn_jobs":         {required: []string{"tenant", "count"}, optional: []string{"interval", "runtime", "vni", "pods"}},
-	"inject_nic_failure": {needsTarget: "node"},
-	"recover_nic":        {needsTarget: "node"},
-	"cordon":             {needsTarget: "node"},
-	"uncordon":           {needsTarget: "node"},
-	"partition_fabric":   {required: []string{"nodes"}},
-	"heal_partition":     {},
-	"fail_link":          {optional: []string{"groups", "switches", "link"}},
-	"recover_link":       {optional: []string{"groups", "switches", "link"}},
-	"probe_isolation":    {},
-	"pingpong":           {required: []string{"tenant", "job"}, optional: []string{"rounds", "bytes", "timeout", "tolerate_stall"}},
-	"run_traffic":        {required: []string{"tenant", "job", "traffic"}, optional: []string{"as", "timeout"}},
-	"wait_running":       {required: []string{"tenant", "pods"}, optional: []string{"job", "timeout"}},
-	"wait_jobs_complete": {optional: []string{"tenant", "timeout"}},
-	"resync_vni":         {},
-	// Health-loop events; valid only with a health: section (the loop
-	// must be running to observe the fault).
-	"slow_drain_nic":  {needsTarget: "node", optional: []string{"rate", "duration"}},
-	"flap_trunk":      {required: []string{"switches"}, optional: []string{"period", "count"}},
-	"remediate":       {needsTarget: "node"},
-	"wait_remediated": {optional: []string{"count", "timeout"}},
-	// Control-plane fault events. Self-arming — no section needed: the
-	// presence of any of these is what opts a run into the fault layer
-	// (and its resync prober); without them timelines are untouched.
-	"fail_apiserver":    {},
-	"degrade_apiserver": {optional: []string{"latency_factor", "error_prob"}},
-	"recover_apiserver": {},
-	"break_watch":       {required: []string{"kind"}},
-}
-
-// healthActions require the health: section.
-var healthActions = map[string]bool{
-	"slow_drain_nic":  true,
-	"flap_trunk":      true,
-	"remediate":       true,
-	"wait_remediated": true,
-}
-
-// assertionTargets maps assertion types to how their target is validated:
-// "" (none), "tenant" (optional tenant), "reason" (drop reason), "stat"
-// (latency statistic).
-var assertionTargets = map[string]string{
-	"vnis_allocated":       "",
-	"vnis_quarantined":     "",
-	"jobs_completed":       "tenant",
-	"jobs_pending":         "tenant",
-	"pods_running":         "tenant",
-	"isolation_violations": "",
-	"switch_drops":         "reason",
-	"switch_forwarded":     "",
-	"trunk_drops":          "",
-	"global_link_bytes":    "",
-	"max_link_utilization": "",
-	"latency_us":           "stat",
-	"sync_errors":          "",
-	"distinct_tenant_vnis": "",
-	// Per-traffic-run probes: target is a run name (the run_traffic as
-	// param), or "a/b" for the completion-time ratio of two runs.
-	"traffic_time_us":      "run",
-	"traffic_mpi_bytes":    "run",
-	"traffic_global_bytes": "run",
-	"traffic_ratio":        "run-pair",
-	// Series probes over the telemetry ring; they require a telemetry:
-	// section (no sampler, no series).
-	"telemetry_samples":               "",
-	"telemetry_peak_link_utilization": "",
-	// Health-loop probes; the time_to_* pair targets a node name or a
-	// link key ("trunk:i-j" / "global:a-b") and requires a health:
-	// section. nodes_cordoned counts the scheduler's cordon set and
-	// works with or without the loop; traffic_migrations reads a
-	// migratable run's report.
-	"time_to_detect_us":  "health-target",
-	"time_to_recover_us": "health-target",
-	"nodes_cordoned":     "",
-	"remediations_done":  "",
-	"traffic_migrations": "run",
-	// Control-plane fault-layer probes: client retry/relist counters and
-	// the post-run convergence check (1 when every informer cache matches
-	// the apiserver store). All read 0 (cp_converged: 1) in fault-free
-	// runs, so they are valid without fault events.
-	"apiserver_retries": "",
-	"watch_relists":     "",
-	"stale_reads":       "",
-	"max_staleness_us":  "",
-	"cp_converged":      "",
-}
-
-var latencyStats = map[string]bool{"p50": true, "p90": true, "p99": true, "max": true, "mean": true}
-
 var compareOps = map[string]func(a, b float64) bool{
 	"==": func(a, b float64) bool { return a == b },
 	"!=": func(a, b float64) bool { return a != b },
@@ -772,12 +665,12 @@ func (sc *Scenario) Validate() error {
 		return sc.errAt(1, "topology: %v", err)
 	}
 	sc.Topology = topo
-	tenants := map[string]bool{}
-	for _, t := range fl.Tenants {
-		if tenants[t.Name] {
-			return sc.errAt(1, "fleet: duplicate tenant %q", t.Name)
+	for i, t := range fl.Tenants {
+		for _, u := range fl.Tenants[:i] {
+			if u.Name == t.Name {
+				return sc.errAt(1, "fleet: duplicate tenant %q", t.Name)
+			}
 		}
-		tenants[t.Name] = true
 	}
 	if len(sc.Events) == 0 {
 		return sc.errAt(1, "scenario needs at least one event")
@@ -794,16 +687,14 @@ func (sc *Scenario) Validate() error {
 			return sc.errAt(sc.Events[i].Line, "start_fleet must appear exactly once, first")
 		}
 	}
-	traffic := map[string]bool{}
 	for i := range sc.Traffic {
 		ts := &sc.Traffic[i]
 		if ts.Name == "" {
 			return sc.errAt(ts.Line, "traffic: entry needs a name")
 		}
-		if traffic[ts.Name] {
+		if sc.trafficSpec(ts.Name) != ts {
 			return sc.errAt(ts.Line, "traffic: duplicate name %q", ts.Name)
 		}
-		traffic[ts.Name] = true
 		// Workload() maps unknown fidelity names to the packet default, so
 		// vet the string here (it also covers specs built programmatically,
 		// e.g. by the fuzzer's generator).
@@ -815,22 +706,17 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 	for i := range sc.Events {
-		if err := sc.validateEvent(&sc.Events[i], tenants); err != nil {
-			return err
+		if err := sc.ValidateEvent(&sc.Events[i]); err != nil {
+			return sc.errAt(sc.Events[i].Line, "%v", err)
 		}
 	}
 	// Each run_traffic event produces one named report (the as param,
 	// defaulting to the traffic name); traffic_* assertions probe them.
-	// Runs after validateEvent so a missing traffic param gets the
-	// standard required-param error, not "unknown traffic".
 	runs := map[string]bool{}
 	for i := range sc.Events {
 		ev := &sc.Events[i]
 		if ev.Action != "run_traffic" {
 			continue
-		}
-		if !traffic[ev.Params["traffic"]] {
-			return sc.errAt(ev.Line, "run_traffic: unknown traffic %q", ev.Params["traffic"])
 		}
 		name := ev.Param("as", ev.Params["traffic"])
 		if runs[name] {
@@ -839,284 +725,11 @@ func (sc *Scenario) Validate() error {
 		runs[name] = true
 	}
 	for i := range sc.Assertions {
-		if err := sc.validateAssertion(&sc.Assertions[i], tenants, runs); err != nil {
-			return err
+		if err := sc.validateAssertion(&sc.Assertions[i], runs); err != nil {
+			return sc.errAt(sc.Assertions[i].Line, "%v", err)
 		}
 	}
 	return nil
-}
-
-func (sc *Scenario) validateEvent(ev *Event, tenants map[string]bool) error {
-	spec, ok := actions[ev.Action]
-	if !ok {
-		if ev.Action == "" {
-			return sc.errAt(ev.Line, "event needs an action")
-		}
-		return sc.errAt(ev.Line, "unknown action %q", ev.Action)
-	}
-	if healthActions[ev.Action] && !sc.Health.Enabled() {
-		return sc.errAt(ev.Line, "%s: requires a health: section (checkEvery)", ev.Action)
-	}
-	switch spec.needsTarget {
-	case "node":
-		if !sc.validNode(ev.Target) {
-			return sc.errAt(ev.Line, "%s: target must name a fleet node (node0..node%d), got %q",
-				ev.Action, sc.Fleet.Nodes-1, ev.Target)
-		}
-	case "":
-		if ev.Target != "" {
-			return sc.errAt(ev.Line, "%s: takes no target", ev.Action)
-		}
-	}
-	allowed := map[string]bool{}
-	for _, p := range spec.required {
-		allowed[p] = true
-		if ev.Params[p] == "" {
-			return sc.errAt(ev.Line, "%s: missing required param %q", ev.Action, p)
-		}
-	}
-	for _, p := range spec.optional {
-		allowed[p] = true
-	}
-	for p := range ev.Params {
-		if !allowed[p] {
-			return sc.errAt(ev.Line, "%s: unknown param %q", ev.Action, p)
-		}
-	}
-	// Typed parameter checks.
-	for _, p := range []string{"runtime", "interval", "timeout", "duration", "period"} {
-		if v, ok := ev.Params[p]; ok {
-			if d, err := time.ParseDuration(v); err != nil || d < 0 {
-				return sc.errAt(ev.Line, "%s: %s: not a duration: %q", ev.Action, p, v)
-			}
-		}
-	}
-	for _, p := range []string{"pods", "count", "rounds", "bytes"} {
-		if v, ok := ev.Params[p]; ok {
-			// wait_remediated accepts count: 0 — "wait only for the
-			// controller to quiesce, however many runs that takes".
-			min := 1
-			if ev.Action == "wait_remediated" && p == "count" {
-				min = 0
-			}
-			if n, err := strconv.Atoi(v); err != nil || n < min {
-				return sc.errAt(ev.Line, "%s: %s: must be a positive integer, got %q", ev.Action, p, v)
-			}
-		}
-	}
-	if t, ok := ev.Params["tenant"]; ok && !tenants[t] {
-		return sc.errAt(ev.Line, "%s: unknown tenant %q", ev.Action, t)
-	}
-	if ev.Action == "partition_fabric" {
-		for _, n := range splitList(ev.Params["nodes"]) {
-			if !sc.validNode(n) {
-				return sc.errAt(ev.Line, "partition_fabric: unknown node %q", n)
-			}
-		}
-	}
-	if ev.Action == "fail_link" || ev.Action == "recover_link" {
-		if err := sc.validateLinkEvent(ev); err != nil {
-			return err
-		}
-	}
-	if ev.Action == "slow_drain_nic" {
-		if v, ok := ev.Params["rate"]; ok {
-			if f, err := strconv.ParseFloat(v, 64); err != nil || f <= 0 {
-				return sc.errAt(ev.Line, "slow_drain_nic: rate: must be a positive number (errors/s), got %q", v)
-			}
-		}
-	}
-	if ev.Action == "flap_trunk" {
-		if _, _, err := sc.trunkPair(ev, ev.Params["switches"]); err != nil {
-			return err
-		}
-	}
-	if ev.Action == "degrade_apiserver" {
-		if v, ok := ev.Params["latency_factor"]; ok {
-			if f, err := strconv.ParseFloat(v, 64); err != nil || f < 1 {
-				return sc.errAt(ev.Line, "degrade_apiserver: latency_factor: must be a number ≥ 1, got %q", v)
-			}
-		}
-		if v, ok := ev.Params["error_prob"]; ok {
-			if f, err := strconv.ParseFloat(v, 64); err != nil || f < 0 || f >= 1 {
-				return sc.errAt(ev.Line, "degrade_apiserver: error_prob: must be in [0, 1), got %q", v)
-			}
-		}
-	}
-	if ev.Action == "break_watch" {
-		if _, ok := cpWatchKinds[ev.Params["kind"]]; !ok {
-			return sc.errAt(ev.Line, "break_watch: kind: must be one of %s, got %q",
-				cpWatchKindNames(), ev.Params["kind"])
-		}
-	}
-	return nil
-}
-
-// trunkPair validates an intra-group switch pair parameter ("i,j") and
-// returns the indices; shared by flap_trunk validation and execution.
-func (sc *Scenario) trunkPair(ev *Event, s string) (int, int, error) {
-	topo := sc.Topology
-	parts := splitList(s)
-	if len(parts) != 2 {
-		return 0, 0, sc.errAt(ev.Line, "%s: switches must be two comma-separated indices, got %q", ev.Action, s)
-	}
-	var idx [2]int
-	limit := topo.Groups * topo.SwitchesPerGroup
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 || n >= limit {
-			return 0, 0, sc.errAt(ev.Line, "%s: switches: %q is not a valid switch index (fabric has %d)",
-				ev.Action, p, limit)
-		}
-		idx[i] = n
-	}
-	if idx[0] == idx[1] {
-		return 0, 0, sc.errAt(ev.Line, "%s: switches: indices must differ", ev.Action)
-	}
-	if idx[0]/topo.SwitchesPerGroup != idx[1]/topo.SwitchesPerGroup {
-		return 0, 0, sc.errAt(ev.Line, "%s: switches %d and %d are in different groups (only trunks flap)",
-			ev.Action, idx[0], idx[1])
-	}
-	return idx[0], idx[1], nil
-}
-
-// validateLinkEvent checks a fail_link/recover_link event: exactly one of
-// groups ("a,b" group pair) or switches ("i,j" switch pair) must name a
-// trunk that exists in the scenario's topology; link selects one of a
-// pair's parallel global links and is only valid with groups.
-func (sc *Scenario) validateLinkEvent(ev *Event) error {
-	groups, switches := ev.Params["groups"], ev.Params["switches"]
-	if (groups == "") == (switches == "") {
-		return sc.errAt(ev.Line, "%s: needs exactly one of groups or switches", ev.Action)
-	}
-	pair := func(param, s string, limit int, what string) (int, int, error) {
-		parts := splitList(s)
-		if len(parts) != 2 {
-			return 0, 0, sc.errAt(ev.Line, "%s: %s must be two comma-separated indices, got %q", ev.Action, param, s)
-		}
-		var idx [2]int
-		for i, p := range parts {
-			n, err := strconv.Atoi(p)
-			if err != nil || n < 0 || n >= limit {
-				return 0, 0, sc.errAt(ev.Line, "%s: %s: %q is not a valid %s index (fabric has %d)",
-					ev.Action, param, p, what, limit)
-			}
-			idx[i] = n
-		}
-		if idx[0] == idx[1] {
-			return 0, 0, sc.errAt(ev.Line, "%s: %s: indices must differ", ev.Action, param)
-		}
-		return idx[0], idx[1], nil
-	}
-	topo := sc.Topology
-	if groups != "" {
-		if _, _, err := pair("groups", groups, topo.Groups, "group"); err != nil {
-			return err
-		}
-		if l := ev.Params["link"]; l != "" {
-			n, err := strconv.Atoi(l)
-			if err != nil || n < 0 || n >= topo.GlobalLinksPerPair {
-				return sc.errAt(ev.Line, "%s: link: must be 0..%d, got %q", ev.Action, topo.GlobalLinksPerPair-1, l)
-			}
-		}
-		return nil
-	}
-	if ev.Params["link"] != "" {
-		return sc.errAt(ev.Line, "%s: link is only valid with groups", ev.Action)
-	}
-	i, j, err := pair("switches", switches, topo.Groups*topo.SwitchesPerGroup, "switch")
-	if err != nil {
-		return err
-	}
-	if i/topo.SwitchesPerGroup != j/topo.SwitchesPerGroup {
-		return sc.errAt(ev.Line, "%s: switches %d and %d are in different groups; use groups for global links",
-			ev.Action, i, j)
-	}
-	return nil
-}
-
-func (sc *Scenario) validateAssertion(a *Assertion, tenants, runs map[string]bool) error {
-	kind, ok := assertionTargets[a.Type]
-	if !ok {
-		if a.Type == "" {
-			return sc.errAt(a.Line, "assertion needs a type")
-		}
-		return sc.errAt(a.Line, "unknown assertion type %q", a.Type)
-	}
-	if _, ok := compareOps[a.Op]; !ok {
-		return sc.errAt(a.Line, "assertion op must be one of == != < <= > >=, got %q", a.Op)
-	}
-	if strings.HasPrefix(a.Type, "telemetry_") && !sc.Telemetry.Enabled() {
-		return sc.errAt(a.Line, "%s: requires a telemetry: section (sampleEvery)", a.Type)
-	}
-	if (kind == "health-target" || a.Type == "remediations_done") && !sc.Health.Enabled() {
-		return sc.errAt(a.Line, "%s: requires a health: section (checkEvery)", a.Type)
-	}
-	switch kind {
-	case "":
-		if a.Target != "" {
-			return sc.errAt(a.Line, "%s: takes no target", a.Type)
-		}
-	case "tenant":
-		if a.Target != "" && !tenants[a.Target] {
-			return sc.errAt(a.Line, "%s: unknown tenant %q", a.Type, a.Target)
-		}
-	case "reason":
-		if _, ok := fabric.DropReasonByName(a.Target); !ok {
-			return sc.errAt(a.Line, "%s: target must be a drop reason (e.g. link_down, vni_ingress_denied), got %q",
-				a.Type, a.Target)
-		}
-	case "stat":
-		if !latencyStats[a.Target] {
-			return sc.errAt(a.Line, "%s: target must be one of p50, p90, p99, max, mean, got %q", a.Type, a.Target)
-		}
-	case "run":
-		if !runs[a.Target] {
-			return sc.errAt(a.Line, "%s: target must name a traffic run (a run_traffic as/traffic name), got %q",
-				a.Type, a.Target)
-		}
-	case "run-pair":
-		parts := strings.Split(a.Target, "/")
-		if len(parts) != 2 || !runs[parts[0]] || !runs[parts[1]] {
-			return sc.errAt(a.Line, "%s: target must be two traffic runs as \"a/b\", got %q", a.Type, a.Target)
-		}
-	case "health-target":
-		if err := sc.validateHealthTarget(a); err != nil {
-			return err
-		}
-	}
-	if a.Value == "" {
-		return sc.errAt(a.Line, "%s: missing value", a.Type)
-	}
-	if _, err := parseExpected(a.Value); err != nil {
-		return sc.errAt(a.Line, "%s: value: %v", a.Type, err)
-	}
-	return nil
-}
-
-// validateHealthTarget checks a time_to_detect_us/time_to_recover_us
-// target: a fleet node name, or a link key as the health daemon emits
-// them — "trunk:i-j" / "global:i-j", both by global switch index (a
-// global link is keyed by its two gateway switches).
-func (sc *Scenario) validateHealthTarget(a *Assertion) error {
-	t := a.Target
-	if sc.validNode(t) {
-		return nil
-	}
-	kind, rest, found := strings.Cut(t, ":")
-	if found && (kind == "trunk" || kind == "global") {
-		parts := strings.Split(rest, "-")
-		if len(parts) == 2 {
-			limit := sc.Topology.Groups * sc.Topology.SwitchesPerGroup
-			x, errX := strconv.Atoi(parts[0])
-			y, errY := strconv.Atoi(parts[1])
-			if errX == nil && errY == nil && x >= 0 && y >= 0 && x < limit && y < limit && x != y {
-				return nil
-			}
-		}
-	}
-	return sc.errAt(a.Line, "%s: target must be a fleet node or a link key (trunk:i-j / global:a-b), got %q",
-		a.Type, t)
 }
 
 // parseExpected turns an assertion value into a comparable number; booleans
@@ -1135,13 +748,34 @@ func parseExpected(v string) (float64, error) {
 	return f, nil
 }
 
+// validNode reports whether name is one of the fleet's nodes (node0..nodeN-1).
 func (sc *Scenario) validNode(name string) bool {
-	for i := 0; i < sc.Fleet.Nodes; i++ {
-		if name == fmt.Sprintf("node%d", i) {
+	rest, ok := strings.CutPrefix(name, "node")
+	if !ok {
+		return false
+	}
+	n, err := strconv.Atoi(rest)
+	return err == nil && n >= 0 && n < sc.Fleet.Nodes && strconv.Itoa(n) == rest
+}
+
+// hasTenant reports whether the fleet declares the tenant.
+func (sc *Scenario) hasTenant(name string) bool {
+	for _, t := range sc.Fleet.Tenants {
+		if t.Name == name {
 			return true
 		}
 	}
 	return false
+}
+
+// trafficSpec returns the first traffic: entry called name, or nil.
+func (sc *Scenario) trafficSpec(name string) *TrafficSpec {
+	for i := range sc.Traffic {
+		if sc.Traffic[i].Name == name {
+			return &sc.Traffic[i]
+		}
+	}
+	return nil
 }
 
 // splitList splits a comma-separated parameter into its non-empty entries.
