@@ -6,6 +6,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -413,5 +415,35 @@ func TestSessionEndsOnWriteError(t *testing.T) {
 	}
 	if now := srv.Ops().Stack().Eng.Now(); now != before {
 		t.Errorf("commands ran after the write error: clock moved %s -> %s", before, now)
+	}
+}
+
+// TestDocsListCommands keeps the docs/observability.md protocol table and
+// the command table in step: the table's first column lists exactly the
+// commands' usage strings, so every command is documented under the
+// spelling help and usage errors print.
+func TestDocsListCommands(t *testing.T) {
+	data, err := os.ReadFile("../../docs/observability.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, ok := strings.Cut(string(data), "\n### Protocol reference\n")
+	if !ok {
+		t.Fatal("docs/observability.md has no protocol reference")
+	}
+	body, _, _ = strings.Cut(body, "\n#")
+	var got, want []string
+	for _, line := range strings.Split(body, "\n") {
+		if end := strings.Index(line, "` |"); strings.HasPrefix(line, "| `") && end > 0 {
+			got = append(got, strings.ReplaceAll(line[3:end], `\|`, "|"))
+		}
+	}
+	for i := range commands {
+		want = append(want, commands[i].usage())
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("protocol table lists %q\ncommand table has     %q", got, want)
 	}
 }

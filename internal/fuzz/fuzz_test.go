@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -97,14 +98,33 @@ func TestGeneratorCoversHealthLoop(t *testing.T) {
 }
 
 // TestGeneratedSpecsRoundTripAsYAML locks the replay path for generated
-// specs: everything the generator emits must survive EmitYAML -> Parse and
-// re-validate, or reproducer files would be unreplayable.
+// specs: everything the generator emits must survive EmitYAML -> Parse,
+// re-validate and come back deeply equal up to source lines, or
+// reproducer files would not replay the spec that was run. (Clone gives
+// every event a non-nil parameter map, as Parse does.)
 func TestGeneratedSpecsRoundTripAsYAML(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 50; i++ {
 		sc := Generate(rng, DefaultConfig())
-		if _, err := scenario.Parse(bytes.NewReader(scenario.EmitYAML(sc))); err != nil {
+		back, err := scenario.Parse(bytes.NewReader(scenario.EmitYAML(sc)))
+		if err != nil {
 			t.Fatalf("generated spec %d does not re-parse: %v\n%s", i, err, scenario.EmitYAML(sc))
+		}
+		want := Clone(sc)
+		for _, s := range []*scenario.Scenario{want, back} {
+			for j := range s.Traffic {
+				s.Traffic[j].Line = 0
+			}
+			for j := range s.Events {
+				s.Events[j].Line = 0
+			}
+			for j := range s.Assertions {
+				s.Assertions[j].Line = 0
+			}
+		}
+		if !reflect.DeepEqual(want, back) {
+			t.Fatalf("generated spec %d diverged on round trip\ngenerated: %+v\nreparsed:  %+v\n%s",
+				i, want, back, scenario.EmitYAML(sc))
 		}
 	}
 }

@@ -3,7 +3,6 @@ package fuzz
 import (
 	"sort"
 	"strconv"
-	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/scenario"
 )
@@ -143,15 +142,15 @@ func Shrink(sc *scenario.Scenario, name string, budget int) *scenario.Scenario {
 		// Reset fleet knobs the emitter would otherwise have to spell out.
 		if !improved {
 			improved = try(func(c *scenario.Scenario) bool {
-				d := defaultFleetKnobs()
+				d := scenario.DefaultFleet()
 				if c.Fleet.VNIPoolMin == d.VNIPoolMin && c.Fleet.VNIPoolMax == d.VNIPoolMax &&
-					c.Fleet.Quarantine == d.Quarantine && c.Fleet.PodsPerNode == 0 {
+					c.Fleet.Quarantine == d.Quarantine && c.Fleet.PodsPerNode == d.PodsPerNode {
 					return false
 				}
 				c.Fleet.VNIPoolMin = d.VNIPoolMin
 				c.Fleet.VNIPoolMax = d.VNIPoolMax
 				c.Fleet.Quarantine = d.Quarantine
-				c.Fleet.PodsPerNode = 0
+				c.Fleet.PodsPerNode = d.PodsPerNode
 				return true
 			})
 		}
@@ -186,14 +185,6 @@ func Shrink(sc *scenario.Scenario, name string, budget int) *scenario.Scenario {
 		}
 	}
 	return cur
-}
-
-// defaultFleetKnobs returns the parser's fleet defaults (the values the
-// YAML emitter expresses by omission), so shrinking toward them shortens
-// the reproducer.
-func defaultFleetKnobs() scenario.Fleet {
-	return scenario.Fleet{Nodes: 2, VNIService: true, VNIPoolMin: 1024, VNIPoolMax: 65535,
-		Quarantine: 30 * time.Second}
 }
 
 // sortedKeys returns the map's keys in sorted order so shrinking is

@@ -155,9 +155,9 @@ func runCollectiveCell(cfg CollectivesConfig, placement Placement, pattern workl
 	}
 	var rep workload.Report
 	finished := false
-	err = workload.Run(st.Eng, comm, st.Topo,
+	err = workload.RunProgress(st.Eng, comm, st.Topo,
 		workload.Spec{Pattern: pattern, Bytes: size, Iterations: cfg.Iterations, Fidelity: cfg.Fidelity},
-		func(r workload.Report) { rep, finished = r, true })
+		nil, func(r workload.Report) { rep, finished = r, true })
 	if err != nil {
 		return workload.Report{}, err
 	}

@@ -259,7 +259,7 @@ func CollectivesFidelity(fid fabric.Fidelity) func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			finished := false
-			if err := workload.Run(st.Eng, comm, st.Topo, spec, func(workload.Report) { finished = true }); err != nil {
+			if err := workload.RunProgress(st.Eng, comm, st.Topo, spec, nil, func(workload.Report) { finished = true }); err != nil {
 				b.Fatal(err)
 			}
 			st.Eng.Run()

@@ -6,16 +6,18 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"github.com/caps-sim/shs-k8s/internal/fabric"
 )
 
 // EmitYAML renders the scenario back into the YAML subset Parse reads, so
 // machine-built specs — above all the fuzz harness's shrunk reproducers —
 // can be written to disk and replayed byte-for-byte with `shssim run` or
 // `shssim fuzz -replay`. The emission is canonical and minimal: sections in
-// schema order, event parameters sorted, and every field whose value Parse
-// would fill in anyway (the fleet defaults, a normalized 1×1 topology, the
-// traffic defaults) expressed by omission, which keeps shrunk reproducers
-// close to the few lines that actually matter. It round-trips: for any
+// schema order, event parameters sorted, and every section key whose value
+// Parse would fill in anyway (the fleet defaults, a normalized 1×1
+// topology, the traffic defaults) expressed by omission, which keeps
+// shrunk reproducers close to the few lines that actually matter. It round-trips: for any
 // valid scenario, Parse(EmitYAML(sc)) yields a spec deeply equal to sc up
 // to source positions (Path and the Line fields), which emission cannot
 // and need not preserve — defaults refill identically on re-parse.
@@ -40,63 +42,28 @@ func EmitYAML(sc *Scenario) []byte {
 		kv(0, "seed", strconv.FormatInt(sc.Seed, 10))
 	}
 
-	sp := sc.Topology
-	var topo [][2]string
-	if sp.Groups > 1 {
-		topo = append(topo, [2]string{"groups", strconv.Itoa(sp.Groups)})
-	}
-	if sp.SwitchesPerGroup > 1 {
-		topo = append(topo, [2]string{"switchesPerGroup", strconv.Itoa(sp.SwitchesPerGroup)})
-	}
-	// nodesPerSwitch: 0 (all nodes on switch 0) is the parser's implicit
-	// default and has no explicit spelling, so it is expressed by omission.
-	if sp.NodesPerSwitch > 0 {
-		topo = append(topo, [2]string{"nodesPerSwitch", strconv.Itoa(sp.NodesPerSwitch)})
-	}
-	if sp.GlobalLinksPerPair > 1 {
-		topo = append(topo, [2]string{"globalLinksPerPair", strconv.Itoa(sp.GlobalLinksPerPair)})
-	}
-	if sp.GlobalLinkBandwidthBits > 0 {
-		topo = append(topo, [2]string{"globalBandwidthGbps", strconv.FormatFloat(sp.GlobalLinkBandwidthBits/1e9, 'g', -1, 64)})
-	}
-	if sp.GlobalLinkPropagation > 0 {
-		topo = append(topo, [2]string{"globalLatency", sp.GlobalLinkPropagation.String()})
-	}
-	if len(topo) > 0 {
-		b.WriteString("\ntopology:\n")
-		for _, e := range topo {
+	// A section key is printed iff its value differs from the section
+	// default; the zero telemetry and health sections are their defaults.
+	block := func(header string, kvs [][2]string) {
+		b.WriteString(header)
+		for _, e := range kvs {
 			kv(2, e[0], e[1])
 		}
+	}
+	// Normalize fills the defaults even for a shape it rejects; Validate
+	// reports that error, and the emitter writes what it was given.
+	topo, _ := sc.Topology.Normalize()
+	topoDef, _ := fabric.TopologySpec{}.Normalize()
+	if kvs := changedKeys(topologyKeys, &topo, &topoDef); len(kvs) > 0 {
+		block("\ntopology:\n", kvs)
 	}
 
-	fl, def := sc.Fleet, defaultFleet()
-	var fleet [][2]string
-	if fl.Nodes != def.Nodes {
-		fleet = append(fleet, [2]string{"nodes", strconv.Itoa(fl.Nodes)})
-	}
-	if fl.VNIService != def.VNIService {
-		fleet = append(fleet, [2]string{"vniService", strconv.FormatBool(fl.VNIService)})
-	}
-	if fl.VNIPoolMin != def.VNIPoolMin {
-		fleet = append(fleet, [2]string{"vniPoolMin", strconv.FormatUint(uint64(fl.VNIPoolMin), 10)})
-	}
-	if fl.VNIPoolMax != def.VNIPoolMax {
-		fleet = append(fleet, [2]string{"vniPoolMax", strconv.FormatUint(uint64(fl.VNIPoolMax), 10)})
-	}
-	if fl.Quarantine != def.Quarantine {
-		fleet = append(fleet, [2]string{"quarantine", fl.Quarantine.String()})
-	}
-	if fl.PodsPerNode > 0 {
-		fleet = append(fleet, [2]string{"podsPerNode", strconv.Itoa(fl.PodsPerNode)})
-	}
-	if len(fleet) > 0 || len(fl.Tenants) > 0 {
-		b.WriteString("\nfleet:\n")
-		for _, e := range fleet {
-			kv(2, e[0], e[1])
-		}
-		if len(fl.Tenants) > 0 {
+	fleetDef := DefaultFleet()
+	if kvs := changedKeys(fleetKeys, &sc.Fleet, &fleetDef); len(kvs) > 0 || len(sc.Fleet.Tenants) > 0 {
+		block("\nfleet:\n", kvs)
+		if len(sc.Fleet.Tenants) > 0 {
 			b.WriteString("  tenants:\n")
-			for _, t := range fl.Tenants {
+			for _, t := range sc.Fleet.Tenants {
 				kv(4, "- name", t.Name)
 			}
 		}
@@ -104,66 +71,23 @@ func EmitYAML(sc *Scenario) []byte {
 
 	if len(sc.Traffic) > 0 {
 		b.WriteString("\ntraffic:\n")
-		for _, ts := range sc.Traffic {
-			kv(2, "- name", ts.Name)
-			kv(4, "pattern", ts.Pattern)
-			if ts.Bytes != 65536 {
-				kv(4, "bytes", strconv.Itoa(ts.Bytes))
-			}
-			if ts.Iterations != 10 {
-				kv(4, "iterations", strconv.Itoa(ts.Iterations))
-			}
-			if ts.Compute > 0 {
-				kv(4, "compute", ts.Compute.String())
-			}
-			if ts.Fidelity != "" && ts.Fidelity != "packet" {
-				kv(4, "fidelity", ts.Fidelity)
+		trafficDef := defaultTraffic()
+		for i := range sc.Traffic {
+			for j, e := range changedKeys(trafficKeys, &sc.Traffic[i], &trafficDef) {
+				if j == 0 {
+					kv(2, "- "+e[0], e[1])
+				} else {
+					kv(4, e[0], e[1])
+				}
 			}
 		}
 	}
 
-	if sc.Telemetry.Enabled() {
-		b.WriteString("\ntelemetry:\n")
-		kv(2, "sampleEvery", sc.Telemetry.SampleEvery.String())
-		if sc.Telemetry.Sink != "" {
-			kv(2, "sink", sc.Telemetry.Sink)
-		}
-		if sc.Telemetry.Capacity > 0 {
-			kv(2, "capacity", strconv.Itoa(sc.Telemetry.Capacity))
-		}
+	if kvs := changedKeys(telemetryKeys, &sc.Telemetry, &TelemetrySpec{}); len(kvs) > 0 {
+		block("\ntelemetry:\n", kvs)
 	}
-
-	if sc.Health.Enabled() {
-		h := sc.Health
-		b.WriteString("\nhealth:\n")
-		kv(2, "checkEvery", time.Duration(h.CheckEvery).String())
-		if h.ErrorsPerSecond > 0 {
-			kv(2, "errorsPerSecond", strconv.FormatFloat(h.ErrorsPerSecond, 'g', -1, 64))
-		}
-		if h.FlapsPerSecond > 0 {
-			kv(2, "flapsPerSecond", strconv.FormatFloat(h.FlapsPerSecond, 'g', -1, 64))
-		}
-		if h.DegradeTicks > 0 {
-			kv(2, "degradeTicks", strconv.Itoa(h.DegradeTicks))
-		}
-		if h.StableTicks > 0 {
-			kv(2, "stableTicks", strconv.Itoa(h.StableTicks))
-		}
-		if h.Budget > 0 {
-			kv(2, "budget", strconv.Itoa(h.Budget))
-		}
-		if h.DrainGrace > 0 {
-			kv(2, "drainGrace", time.Duration(h.DrainGrace).String())
-		}
-		if h.ReplaceDelay > 0 {
-			kv(2, "replaceDelay", time.Duration(h.ReplaceDelay).String())
-		}
-		if h.RetryBackoff > 0 {
-			kv(2, "retryBackoff", time.Duration(h.RetryBackoff).String())
-		}
-		if h.MaxRetries > 0 {
-			kv(2, "maxRetries", strconv.Itoa(h.MaxRetries))
-		}
+	if kvs := changedKeys(healthKeys, &sc.Health, &HealthSpec{}); len(kvs) > 0 {
+		block("\nhealth:\n", kvs)
 	}
 
 	b.WriteString("\nevents:\n")

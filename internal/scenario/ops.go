@@ -613,43 +613,35 @@ func (r *Ops) runTraffic(ev *Event) error {
 	r.wlTotal += wspec.Iterations
 	progress := func(int) { r.wlDone++ }
 	done := func(wr workload.Report) { rep, finished = wr, true }
+	// last is the gang the run holds now. RunMigratable closes it when the
+	// run finishes or migrates; the deferred close (Close is idempotent)
+	// releases it when the run stalls.
+	var last []*libfabric.Domain
+	defer func() { workload.CloseAll(last) }()
+	env := workload.Env{
+		Connect: func() (*mpi.Comm, []*libfabric.Domain, error) {
+			doms, err := workload.Gang(r.st, tenant, jobName, vni, fabric.TCBulkData)
+			if err != nil {
+				return nil, nil, err
+			}
+			comm, err := mpi.Connect(r.st.Eng, doms...)
+			if err != nil {
+				workload.CloseAll(doms)
+				return nil, nil, err
+			}
+			last = doms
+			return comm, doms, nil
+		},
+	}
 	if r.daemon != nil {
 		// Under the health loop the gang is migratable: when a member's
 		// node gets cordoned, the run vacates at the next iteration
-		// boundary and re-gangs once the evicted pods are rescheduled
-		// (RunMigratable owns the domains across placements).
-		env := workload.Env{
-			Connect: func() (*mpi.Comm, []*libfabric.Domain, error) {
-				doms, err := workload.Gang(r.st, tenant, jobName, vni, fabric.TCBulkData)
-				if err != nil {
-					return nil, nil, err
-				}
-				comm, err := mpi.Connect(r.st.Eng, doms...)
-				if err != nil {
-					workload.CloseAll(doms)
-					return nil, nil, err
-				}
-				return comm, doms, nil
-			},
-			Preempted: func() bool { return r.gangPreempted(tenant, jobName) },
-			Ready:     func() bool { return r.gangReady(tenant, jobName, ranks) },
-		}
-		if err := workload.RunMigratable(r.st.Eng, r.st.Topo, wspec, env, progress, done); err != nil {
-			return err
-		}
-	} else {
-		doms, err := workload.Gang(r.st, tenant, jobName, vni, fabric.TCBulkData)
-		if err != nil {
-			return err
-		}
-		defer workload.CloseAll(doms)
-		comm, err := mpi.Connect(r.st.Eng, doms...)
-		if err != nil {
-			return err
-		}
-		if err := workload.RunProgress(r.st.Eng, comm, r.st.Topo, wspec, progress, done); err != nil {
-			return err
-		}
+		// boundary and re-gangs once the evicted pods are rescheduled.
+		env.Preempted = func() bool { return r.gangPreempted(tenant, jobName) }
+		env.Ready = func() bool { return r.gangReady(tenant, jobName, ranks) }
+	}
+	if err := workload.RunMigratable(r.st.Eng, r.st.Topo, wspec, env, progress, done); err != nil {
+		return err
 	}
 	if ok := r.st.Eng.RunUntilDone(func() bool { return finished }, r.st.Eng.Now().Add(timeout)); !ok {
 		return fmt.Errorf("traffic %q stalled after %s (%d ranks, pattern %s)", runName, timeout, ranks, spec.Pattern)

@@ -245,7 +245,7 @@ func parse(r io.Reader, path string) (*Scenario, error) {
 		}
 		return nil, err
 	}
-	sc := &Scenario{Path: path, Seed: 1, Fleet: defaultFleet()}
+	sc := &Scenario{Path: path, Seed: 1, Fleet: DefaultFleet()}
 	if err := sc.decode(root); err != nil {
 		return nil, err
 	}
@@ -253,16 +253,6 @@ func parse(r io.Reader, path string) (*Scenario, error) {
 		return nil, err
 	}
 	return sc, nil
-}
-
-func defaultFleet() Fleet {
-	return Fleet{
-		Nodes:      2,
-		VNIService: true,
-		VNIPoolMin: 1024,
-		VNIPoolMax: 65535,
-		Quarantine: 30 * time.Second,
-	}
 }
 
 // decode maps the parsed tree onto the schema, rejecting unknown keys so
@@ -273,160 +263,67 @@ func (sc *Scenario) decode(root *value) error {
 	}
 	for _, key := range root.keys {
 		v := root.child[key]
+		var err error
 		switch key {
 		case "name":
 			sc.Name = v.scalar
 		case "description":
 			sc.Description = v.scalar
 		case "seed":
-			n, err := strconv.ParseInt(v.scalar, 10, 64)
-			if err != nil {
-				return sc.errAt(v.line, "seed: not an integer: %q", v.scalar)
+			if sc.Seed, err = strconv.ParseInt(v.scalar, 10, 64); err != nil {
+				err = sc.errAt(v.line, "seed: not an integer: %q", v.scalar)
 			}
-			sc.Seed = n
 		case "fleet":
-			if err := sc.decodeFleet(v); err != nil {
-				return err
-			}
+			err = decodeMap(sc, key, v, fleetKeys, &sc.Fleet, sc.decodeTenants)
 		case "topology":
-			if err := sc.decodeTopology(v); err != nil {
-				return err
-			}
+			err = decodeMap(sc, key, v, topologyKeys, &sc.Topology, nil)
 		case "traffic":
-			if err := sc.decodeTraffic(v); err != nil {
-				return err
-			}
+			err = sc.decodeTraffic(v)
 		case "telemetry":
-			if err := sc.decodeTelemetry(v); err != nil {
-				return err
+			if err = decodeMap(sc, key, v, telemetryKeys, &sc.Telemetry, nil); err == nil && !sc.Telemetry.Enabled() {
+				err = sc.errAt(v.line, "telemetry: needs sampleEvery")
 			}
 		case "health":
-			if err := sc.decodeHealth(v); err != nil {
-				return err
+			if err = decodeMap(sc, key, v, healthKeys, &sc.Health, nil); err == nil && !sc.Health.Enabled() {
+				err = sc.errAt(v.line, "health: needs checkEvery")
 			}
 		case "events":
-			if err := sc.decodeEvents(v); err != nil {
-				return err
-			}
+			err = sc.decodeEvents(v)
 		case "assertions":
-			if err := sc.decodeAssertions(v); err != nil {
-				return err
-			}
+			err = sc.decodeAssertions(v)
 		default:
-			return sc.errAt(v.line, "unknown top-level key %q", key)
+			err = sc.errAt(v.line, "unknown top-level key %q", key)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (sc *Scenario) decodeFleet(v *value) error {
-	if v.kind != mapNode {
-		return sc.errAt(v.line, "fleet: must be a mapping")
+// decodeTenants decodes fleet.tenants: a sequence of names or of
+// name: mappings.
+func (sc *Scenario) decodeTenants(c *value) error {
+	if c.kind != seqNode {
+		return sc.errAt(c.line, "fleet.tenants: must be a sequence")
 	}
-	for _, key := range v.keys {
-		c := v.child[key]
-		switch key {
-		case "nodes":
-			n, err := strconv.Atoi(c.scalar)
-			if err != nil || n < 1 {
-				return sc.errAt(c.line, "fleet.nodes: must be a positive integer, got %q", c.scalar)
+	for _, item := range c.items {
+		switch item.kind {
+		case scalarNode:
+			sc.Fleet.Tenants = append(sc.Fleet.Tenants, Tenant{Name: item.scalar})
+		case mapNode:
+			name := item.str("name")
+			if name == "" {
+				return sc.errAt(item.line, "fleet.tenants: tenant needs a name")
 			}
-			sc.Fleet.Nodes = n
-		case "vniService":
-			b, err := strconv.ParseBool(c.scalar)
-			if err != nil {
-				return sc.errAt(c.line, "fleet.vniService: not a boolean: %q", c.scalar)
-			}
-			sc.Fleet.VNIService = b
-		case "vniPoolMin", "vniPoolMax":
-			n, err := strconv.ParseUint(c.scalar, 10, 32)
-			if err != nil || n == 0 {
-				return sc.errAt(c.line, "fleet.%s: must be a positive integer, got %q", key, c.scalar)
-			}
-			if key == "vniPoolMin" {
-				sc.Fleet.VNIPoolMin = fabric.VNI(n)
-			} else {
-				sc.Fleet.VNIPoolMax = fabric.VNI(n)
-			}
-		case "quarantine":
-			d, err := time.ParseDuration(c.scalar)
-			if err != nil || d < 0 {
-				return sc.errAt(c.line, "fleet.quarantine: not a duration: %q", c.scalar)
-			}
-			sc.Fleet.Quarantine = d
-		case "podsPerNode":
-			n, err := strconv.Atoi(c.scalar)
-			if err != nil || n < 0 {
-				return sc.errAt(c.line, "fleet.podsPerNode: must be a non-negative integer, got %q", c.scalar)
-			}
-			sc.Fleet.PodsPerNode = n
-		case "tenants":
-			if c.kind != seqNode {
-				return sc.errAt(c.line, "fleet.tenants: must be a sequence")
-			}
-			for _, item := range c.items {
-				switch item.kind {
-				case scalarNode:
-					sc.Fleet.Tenants = append(sc.Fleet.Tenants, Tenant{Name: item.scalar})
-				case mapNode:
-					name := item.str("name")
-					if name == "" {
-						return sc.errAt(item.line, "fleet.tenants: tenant needs a name")
-					}
-					for _, k := range item.keys {
-						if k != "name" {
-							return sc.errAt(item.child[k].line, "fleet.tenants: unknown tenant key %q", k)
-						}
-					}
-					sc.Fleet.Tenants = append(sc.Fleet.Tenants, Tenant{Name: name})
-				default:
-					return sc.errAt(item.line, "fleet.tenants: invalid tenant entry")
+			for _, k := range item.keys {
+				if k != "name" {
+					return sc.errAt(item.child[k].line, "fleet.tenants: unknown tenant key %q", k)
 				}
 			}
+			sc.Fleet.Tenants = append(sc.Fleet.Tenants, Tenant{Name: name})
 		default:
-			return sc.errAt(c.line, "fleet: unknown key %q", key)
-		}
-	}
-	return nil
-}
-
-// decodeTopology maps the topology: section onto fabric.TopologySpec.
-func (sc *Scenario) decodeTopology(v *value) error {
-	if v.kind != mapNode {
-		return sc.errAt(v.line, "topology: must be a mapping")
-	}
-	for _, key := range v.keys {
-		c := v.child[key]
-		switch key {
-		case "groups", "switchesPerGroup", "nodesPerSwitch", "globalLinksPerPair":
-			n, err := strconv.Atoi(c.scalar)
-			if err != nil || n < 1 {
-				return sc.errAt(c.line, "topology.%s: must be a positive integer, got %q", key, c.scalar)
-			}
-			switch key {
-			case "groups":
-				sc.Topology.Groups = n
-			case "switchesPerGroup":
-				sc.Topology.SwitchesPerGroup = n
-			case "nodesPerSwitch":
-				sc.Topology.NodesPerSwitch = n
-			case "globalLinksPerPair":
-				sc.Topology.GlobalLinksPerPair = n
-			}
-		case "globalBandwidthGbps":
-			f, err := strconv.ParseFloat(c.scalar, 64)
-			if err != nil || f <= 0 {
-				return sc.errAt(c.line, "topology.globalBandwidthGbps: must be a positive number, got %q", c.scalar)
-			}
-			sc.Topology.GlobalLinkBandwidthBits = f * 1e9
-		case "globalLatency":
-			d, err := time.ParseDuration(c.scalar)
-			if err != nil || d < 0 {
-				return sc.errAt(c.line, "topology.globalLatency: not a duration: %q", c.scalar)
-			}
-			sc.Topology.GlobalLinkPropagation = d
-		default:
-			return sc.errAt(c.line, "topology: unknown key %q", key)
+			return sc.errAt(item.line, "fleet.tenants: invalid tenant entry")
 		}
 	}
 	return nil
@@ -441,135 +338,18 @@ func (sc *Scenario) decodeTraffic(v *value) error {
 		if item.kind != mapNode {
 			return sc.errAt(item.line, "traffic: each entry must be a mapping")
 		}
-		ts := TrafficSpec{Line: item.line, Bytes: 65536, Iterations: 10}
+		ts := defaultTraffic()
+		ts.Line = item.line
 		for _, key := range item.keys {
 			c := item.child[key]
 			if c.kind != scalarNode {
 				return sc.errAt(c.line, "traffic: %q must be a scalar", key)
 			}
-			switch key {
-			case "name":
-				ts.Name = c.scalar
-			case "pattern":
-				ts.Pattern = c.scalar
-			case "bytes":
-				n, err := strconv.Atoi(c.scalar)
-				if err != nil || n < 0 {
-					return sc.errAt(c.line, "traffic.bytes: must be a non-negative integer, got %q", c.scalar)
-				}
-				ts.Bytes = n
-			case "iterations":
-				n, err := strconv.Atoi(c.scalar)
-				if err != nil || n < 1 {
-					return sc.errAt(c.line, "traffic.iterations: must be a positive integer, got %q", c.scalar)
-				}
-				ts.Iterations = n
-			case "compute":
-				d, err := time.ParseDuration(c.scalar)
-				if err != nil || d < 0 {
-					return sc.errAt(c.line, "traffic.compute: not a duration: %q", c.scalar)
-				}
-				ts.Compute = d
-			case "fidelity":
-				if _, err := fabric.ParseFidelity(c.scalar); err != nil {
-					return sc.errAt(c.line, "traffic.fidelity: %v", err)
-				}
-				ts.Fidelity = c.scalar
-			default:
-				return sc.errAt(c.line, "traffic: unknown key %q", key)
+			if err := decodeKey(sc, "traffic", trafficKeys, &ts, key, c); err != nil {
+				return err
 			}
 		}
 		sc.Traffic = append(sc.Traffic, ts)
-	}
-	return nil
-}
-
-// decodeTelemetry maps the telemetry: section onto TelemetrySpec.
-func (sc *Scenario) decodeTelemetry(v *value) error {
-	if v.kind != mapNode {
-		return sc.errAt(v.line, "telemetry: must be a mapping")
-	}
-	for _, key := range v.keys {
-		c := v.child[key]
-		switch key {
-		case "sampleEvery":
-			d, err := time.ParseDuration(c.scalar)
-			if err != nil || d <= 0 {
-				return sc.errAt(c.line, "telemetry.sampleEvery: must be a positive duration, got %q", c.scalar)
-			}
-			sc.Telemetry.SampleEvery = d
-		case "sink":
-			sc.Telemetry.Sink = c.scalar
-		case "capacity":
-			n, err := strconv.Atoi(c.scalar)
-			if err != nil || n < 1 {
-				return sc.errAt(c.line, "telemetry.capacity: must be a positive integer, got %q", c.scalar)
-			}
-			sc.Telemetry.Capacity = n
-		default:
-			return sc.errAt(c.line, "telemetry: unknown key %q", key)
-		}
-	}
-	if !sc.Telemetry.Enabled() {
-		return sc.errAt(v.line, "telemetry: needs sampleEvery")
-	}
-	return nil
-}
-
-// decodeHealth maps the health: section onto HealthSpec.
-func (sc *Scenario) decodeHealth(v *value) error {
-	if v.kind != mapNode {
-		return sc.errAt(v.line, "health: must be a mapping")
-	}
-	for _, key := range v.keys {
-		c := v.child[key]
-		switch key {
-		case "checkEvery", "drainGrace", "replaceDelay", "retryBackoff":
-			d, err := time.ParseDuration(c.scalar)
-			if err != nil || d <= 0 {
-				return sc.errAt(c.line, "health.%s: must be a positive duration, got %q", key, c.scalar)
-			}
-			switch key {
-			case "checkEvery":
-				sc.Health.CheckEvery = d
-			case "drainGrace":
-				sc.Health.DrainGrace = d
-			case "replaceDelay":
-				sc.Health.ReplaceDelay = d
-			case "retryBackoff":
-				sc.Health.RetryBackoff = d
-			}
-		case "errorsPerSecond", "flapsPerSecond":
-			f, err := strconv.ParseFloat(c.scalar, 64)
-			if err != nil || f <= 0 {
-				return sc.errAt(c.line, "health.%s: must be a positive number, got %q", key, c.scalar)
-			}
-			if key == "errorsPerSecond" {
-				sc.Health.ErrorsPerSecond = f
-			} else {
-				sc.Health.FlapsPerSecond = f
-			}
-		case "degradeTicks", "stableTicks", "budget", "maxRetries":
-			n, err := strconv.Atoi(c.scalar)
-			if err != nil || n < 1 {
-				return sc.errAt(c.line, "health.%s: must be a positive integer, got %q", key, c.scalar)
-			}
-			switch key {
-			case "degradeTicks":
-				sc.Health.DegradeTicks = n
-			case "stableTicks":
-				sc.Health.StableTicks = n
-			case "budget":
-				sc.Health.Budget = n
-			case "maxRetries":
-				sc.Health.MaxRetries = n
-			}
-		default:
-			return sc.errAt(c.line, "health: unknown key %q", key)
-		}
-	}
-	if !sc.Health.Enabled() {
-		return sc.errAt(v.line, "health: needs checkEvery")
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
+	"github.com/caps-sim/shs-k8s/internal/libfabric"
 	"github.com/caps-sim/shs-k8s/internal/mpi"
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
@@ -108,74 +109,20 @@ type Report struct {
 	// TrunkDrops counts packets lost on down trunks during the run.
 	TrunkDrops uint64
 	// Migrations counts how many times the gang vacated a degrading
-	// placement mid-run and resumed elsewhere (RunMigratable only;
-	// always zero for Run/RunProgress).
+	// placement mid-run and resumed elsewhere (always zero for
+	// RunProgress).
 	Migrations int
 }
 
-// Run executes spec over the communicator and calls done with the report
-// when the final iteration completes. topo, when non-nil, scopes the
-// fabric counters to the run (byte and drop counters are deltas). The
-// caller drives the engine; like every simulated component, Run only
-// schedules events.
-func Run(eng *sim.Engine, comm *mpi.Comm, topo *fabric.Topology, spec Spec, done func(Report)) error {
-	return RunProgress(eng, comm, topo, spec, nil, done)
-}
-
-// RunProgress is Run with a per-iteration observer: progress(iter) runs
+// RunProgress executes spec over the communicator and calls done with the
+// report when the final iteration completes; progress, when non-nil, runs
 // after each collective call completes (iter counts from 1 to
-// spec.Iterations). The telemetry sampler uses it to expose live workload
-// progress; a nil progress makes it exactly Run.
+// spec.Iterations), which is how the telemetry sampler exposes live
+// workload progress. topo, when non-nil, scopes the fabric counters to the
+// run (byte and drop counters are deltas). The caller drives the engine;
+// like every simulated component, RunProgress only schedules events. It is
+// RunMigratable over a fixed communicator that never moves.
 func RunProgress(eng *sim.Engine, comm *mpi.Comm, topo *fabric.Topology, spec Spec, progress func(iter int), done func(Report)) error {
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	// Always set, so a communicator reused across runs picks up each run's
-	// fidelity (including the packet default resetting an earlier flow run).
-	comm.SetFidelity(spec.Fidelity)
-	start := eng.Now()
-	startBytes := comm.BytesSent()
-	var startGlobal, startDrops uint64
-	if topo != nil {
-		startGlobal = topo.GlobalLinkBytes()
-		startDrops = topo.TrunkDrops()
-	}
-	iter := 0
-	var loop func()
-	loop = func() {
-		if iter == spec.Iterations {
-			rep := Report{
-				Spec:     spec,
-				Ranks:    comm.Size(),
-				Elapsed:  eng.Now().Sub(start),
-				MPIBytes: comm.BytesSent() - startBytes,
-			}
-			if topo != nil {
-				rep.GlobalLinkBytes = topo.GlobalLinkBytes() - startGlobal
-				rep.TrunkDrops = topo.TrunkDrops() - startDrops
-				for _, l := range topo.Links() {
-					if l.Utilization > rep.MaxLinkUtilization {
-						rep.MaxLinkUtilization = l.Utilization
-					}
-				}
-			}
-			done(rep)
-			return
-		}
-		iter++
-		next := loop
-		if spec.Compute > 0 {
-			next = func() { eng.After(spec.Compute, loop) }
-		}
-		if progress != nil {
-			it, inner := iter, next
-			next = func() { progress(it); inner() }
-		}
-		// Validate guaranteed the pattern, so the dispatch cannot fail.
-		if err := comm.RunCollective(string(spec.Pattern), spec.Bytes, next); err != nil {
-			panic(err)
-		}
-	}
-	eng.After(0, loop)
-	return nil
+	env := Env{Connect: func() (*mpi.Comm, []*libfabric.Domain, error) { return comm, nil, nil }}
+	return RunMigratable(eng, topo, spec, env, progress, done)
 }

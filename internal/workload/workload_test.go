@@ -60,7 +60,7 @@ func runReport(t *testing.T, st *stack.Stack, comm *mpi.Comm, spec Spec) Report 
 	t.Helper()
 	var rep Report
 	done := false
-	if err := Run(st.Eng, comm, st.Topo, spec, func(r Report) { rep = r; done = true }); err != nil {
+	if err := RunProgress(st.Eng, comm, st.Topo, spec, nil, func(r Report) { rep = r; done = true }); err != nil {
 		t.Fatal(err)
 	}
 	st.Eng.Run()
@@ -123,7 +123,7 @@ func TestRunValidatesSpec(t *testing.T) {
 		{Pattern: AllreduceRing, Bytes: 1, Iterations: 0},
 		{Pattern: AllreduceRing, Bytes: 1, Iterations: 1, Compute: -time.Second},
 	} {
-		if err := Run(st.Eng, comm, st.Topo, spec, func(Report) {}); err == nil {
+		if err := RunProgress(st.Eng, comm, st.Topo, spec, nil, func(Report) {}); err == nil {
 			t.Errorf("spec %+v accepted", spec)
 		}
 	}
