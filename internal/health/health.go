@@ -340,10 +340,7 @@ func (d *Daemon) cordon(st *nodeState, reason string) {
 			return false
 		}
 		n.Spec.Unschedulable = true
-		if n.Meta.Annotations == nil {
-			n.Meta.Annotations = make(map[string]string, 1)
-		}
-		n.Meta.Annotations[AnnotationReason] = reason
+		n.Meta.SetAnnotation(AnnotationReason, reason)
 		return true
 	})
 	d.emit(NodeCordoned, name, "", reason)

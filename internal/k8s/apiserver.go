@@ -47,7 +47,10 @@ func retriable(err error) bool {
 type Response struct {
 	err       error
 	completed bool
-	cbs       []func(error)
+	// cb is the first Done callback and more the rest, in registration
+	// order: most requests have one callback, which then costs no slice.
+	cb   func(error)
+	more []func(error)
 	// pending is the queued server-side commit event, tracked so a
 	// client-side deadline can drop the request while it is on the wire.
 	pending    sim.Event
@@ -79,9 +82,12 @@ func (r *Response) complete(err error) {
 	}
 	r.completed = true
 	r.err = err
-	cbs := r.cbs
-	r.cbs = nil
-	for _, cb := range cbs {
+	cb, more := r.cb, r.more
+	r.cb, r.more = nil, nil
+	if cb != nil {
+		cb(err)
+	}
+	for _, cb := range more {
 		cb(err)
 	}
 }
@@ -90,11 +96,14 @@ func (r *Response) complete(err error) {
 // call site can both register and keep the handle. If the request already
 // completed, fn runs synchronously.
 func (r *Response) Done(fn func(error)) *Response {
-	if r.completed {
+	switch {
+	case r.completed:
 		fn(r.err)
-		return r
+	case r.cb == nil:
+		r.cb = fn
+	default:
+		r.more = append(r.more, fn)
 	}
-	r.cbs = append(r.cbs, fn)
 	return r
 }
 
@@ -488,20 +497,19 @@ func (a *APIServer) Create(obj Object) *Response {
 	return resp
 }
 
-// Get returns a private copy of the object, synchronously (a live quorum
-// read the caller may mutate; for cached, index-capable reads use a
-// Lister).
+// Get returns the committed object, synchronously (a live quorum read; for
+// cached, index-capable reads use a Lister). The object is shared with the
+// store, the informer caches and watch handlers: read-only. DeepCopy it
+// before mutating it.
 func (a *APIServer) Get(kind Kind, namespace, name string) (Object, bool) {
 	obj, ok := a.store(kind)[namespace+"/"+name]
-	if !ok {
-		return nil, false
-	}
-	return obj.DeepCopy(), true
+	return obj, ok
 }
 
-// List returns copies of all objects of kind, in key order. Empty namespace
-// lists across namespaces. This is the O(all-objects) copy-scan; hot paths
-// should read through an informer-backed Lister instead.
+// List returns the committed objects of kind, in key order; like Get's
+// result, each is shared and read-only. Empty namespace lists across
+// namespaces. This is the O(all-objects) scan; hot paths should read
+// through an informer-backed Lister instead.
 func (a *APIServer) List(kind Kind, namespace string) []Object {
 	s := a.store(kind)
 	keys := make([]string, 0, len(s))
@@ -514,7 +522,7 @@ func (a *APIServer) List(kind Kind, namespace string) []Object {
 	sort.Strings(keys)
 	out := make([]Object, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, s[k].DeepCopy())
+		out = append(out, s[k])
 	}
 	return out
 }
@@ -723,7 +731,7 @@ func (a *APIServer) RemoveFinalizer(kind Kind, namespace, name, f string) *Respo
 	return resp
 }
 
-// UpdateStatus applies fn to a private copy of the stored object
+// UpdateStatus applies fn to a DeepCopy of the stored object
 // synchronously (status writes from node agents are modelled as cheap).
 // When fn reports a change the copy is committed and watchers are
 // notified; otherwise it is dropped and the store is untouched. It ignores

@@ -491,8 +491,9 @@ func (c *Client) Watch(kind Kind, opts WatchOptions, handler func(Event)) {
 	inf.handlers = append(inf.handlers, &watchReg{opts: opts, handler: handler})
 }
 
-// Get performs a live (quorum) read, returning a private copy the caller
-// may mutate — the read-modify-write half of an optimistic update.
+// Get performs a live (quorum) read and returns the committed object,
+// shared and read-only like lister results. A read-modify-write DeepCopies
+// it before mutating, or uses UpdateWithRetry, which does.
 func (c *Client) Get(kind Kind, namespace, name string) (Object, bool) {
 	return c.api.Get(kind, namespace, name)
 }
@@ -522,7 +523,7 @@ func (c *Client) RemoveFinalizer(kind Kind, namespace, name, f string) *Response
 	return c.retryWrite(func() *Response { return c.api.RemoveFinalizer(kind, namespace, name, f) })
 }
 
-// UpdateStatus applies fn to a private copy of the stored object and
+// UpdateStatus applies fn to a DeepCopy of the stored object and
 // commits it synchronously when fn reports a change — the node agents'
 // cheap status write. On a healthy server the Response is complete on
 // return; while the server is unavailable the write is queued behind the
@@ -613,24 +614,27 @@ func (w *retryingWrite) done(err error) {
 const maxUpdateRetries = 16
 
 // UpdateWithRetry is the Patch-style read-modify-write helper: it Gets the
-// latest object, applies mutate, and Updates with the fresh
-// ResourceVersion; on ErrConflict it re-reads and retries — immediately on
-// the first conflict (the common lost-race case), behind a jittered
-// exponential backoff on consecutive conflicts, and never more than
-// maxUpdateRetries times before failing with ErrRetriesExhausted.
+// latest object, applies mutate to a DeepCopy of it, and Updates with the
+// fresh ResourceVersion; on ErrConflict it re-reads and retries —
+// immediately on the first conflict (the common lost-race case), behind a
+// jittered exponential backoff on consecutive conflicts, and never more
+// than maxUpdateRetries times before failing with ErrRetriesExhausted.
 // Unavailability and timeouts are retried under the client's retry budget.
 // mutate returning false skips the write and completes the Response with
 // nil (nothing to do). mutate may be called several times and must
-// therefore be idempotent against the object it is handed.
+// therefore be idempotent against the object it is handed. It may write
+// that copy freely, except Annotations and Labels, which it replaces
+// (Meta.SetAnnotation) because the copy shares them.
 func (c *Client) UpdateWithRetry(kind Kind, namespace, name string, mutate func(Object) bool) *Response {
 	resp := &Response{}
 	var attempt func(conflicts, budget int, backoff sim.Duration)
 	attempt = func(conflicts, budget int, backoff sim.Duration) {
-		obj, ok := c.api.Get(kind, namespace, name)
+		cur, ok := c.api.Get(kind, namespace, name)
 		if !ok {
 			resp.complete(fmt.Errorf("%w: %s %s/%s", ErrNotFound, kind, namespace, name))
 			return
 		}
+		obj := cur.DeepCopy()
 		if !mutate(obj) {
 			resp.complete(nil)
 			return

@@ -14,6 +14,17 @@ func newTestAPI() (*sim.Engine, *APIServer) {
 	return eng, NewAPIServer(eng, DefaultAPILatency())
 }
 
+// mustGetCopy reads ns/name and returns a copy the test may write: Get
+// returns the shared committed object.
+func mustGetCopy(t *testing.T, api *APIServer, kind Kind, name string) Object {
+	t.Helper()
+	obj, ok := api.Get(kind, "ns", name)
+	if !ok {
+		t.Fatalf("%s ns/%s missing", kind, name)
+	}
+	return obj.DeepCopy()
+}
+
 func mustCreate(t *testing.T, eng *sim.Engine, api *APIServer, obj Object) {
 	t.Helper()
 	resp := api.Create(obj)
@@ -30,9 +41,9 @@ func TestStaleUpdateConflicts(t *testing.T) {
 	eng, api := newTestAPI()
 	mustCreate(t, eng, api, &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}})
 
-	// Two readers fetch the same revision.
-	a, _ := api.Get(KindJob, "ns", "j")
-	b, _ := api.Get(KindJob, "ns", "j")
+	// Two readers fetch the same revision, each copying it to write.
+	a := mustGetCopy(t, api, KindJob, "j")
+	b := mustGetCopy(t, api, KindJob, "j")
 
 	a.(*Job).Spec.Parallelism = 2
 	respA := api.Update(a)
@@ -78,8 +89,7 @@ func TestUpdateWithRetryConverges(t *testing.T) {
 	// The interferer bumps Parallelism through a blind write racing the
 	// retrying updater, which attaches a finalizer.
 	interfere := func() {
-		obj, _ := api.Get(KindJob, "ns", "j")
-		j := obj.(*Job)
+		j := mustGetCopy(t, api, KindJob, "j").(*Job)
 		j.Meta.ResourceVersion = 0
 		j.Spec.Parallelism++
 		api.Update(j)
@@ -131,8 +141,7 @@ func TestWatchEventsArriveInCommitOrder(t *testing.T) {
 		api.Create(job)
 		eng.Run()
 		for i := 0; i < 5; i++ {
-			got, _ := api.Get(KindJob, "ns", "j")
-			j := got.(*Job)
+			j := mustGetCopy(t, api, KindJob, "j").(*Job)
 			j.Spec.Parallelism = i + 1
 			api.Update(j)
 			eng.Run()

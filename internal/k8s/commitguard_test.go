@@ -2,9 +2,11 @@ package k8s_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,12 +20,12 @@ import (
 )
 
 // commitGuard checks that committed objects stay immutable. The store,
-// the informer caches, lister results and watch events all share one
-// object per commit, so Client.VerifyCaches compares an object with itself
-// and cannot see a handler or lister user mutating it. The guard snapshots
-// every object when it is committed and compares the object with its
-// snapshot when it is replaced, when it is deleted, and at the end of the
-// run.
+// the informer caches, Get and List results, lister results and watch
+// events all share one object per commit, so Client.VerifyCaches compares
+// an object with itself and cannot see a reader mutating it. The guard
+// snapshots every object when it is committed and compares the object
+// with its snapshot when it is replaced, when it is deleted, and at the
+// end of the run.
 type commitGuard struct {
 	mu    sync.Mutex
 	snaps map[k8s.Object]k8s.Object
@@ -55,19 +57,32 @@ func (g *commitGuard) observe(prev, next k8s.Object) {
 		delete(g.snaps, prev)
 	}
 	if next != nil {
-		g.snaps[next] = next.DeepCopy()
+		g.snaps[next] = snapshot(next)
 	}
 }
 
-// check compares obj with its commit-time snapshot. Both sides go through
-// DeepCopy, which maps an empty Finalizers slice to nil, so nil and empty
-// slices compare equal (RemoveFinalizer can leave an empty, non-nil one).
+// snapshot clones obj completely. DeepCopy shares the metadata maps
+// between copies, which is what the guard must watch, so the snapshot
+// clones every map and slice an object holds itself.
+func snapshot(obj k8s.Object) k8s.Object {
+	cp := obj.DeepCopy()
+	m, src := cp.GetMeta(), obj.GetMeta()
+	m.Annotations, m.Labels = maps.Clone(src.Annotations), maps.Clone(src.Labels)
+	m.Finalizers = slices.Clone(src.Finalizers)
+	if c, ok := obj.(*k8s.Custom); ok {
+		cc := cp.(*k8s.Custom)
+		cc.Spec, cc.Status = maps.Clone(c.Spec), maps.Clone(c.Status)
+	}
+	return cp
+}
+
+// check compares obj with its commit-time snapshot.
 func (g *commitGuard) check(obj k8s.Object, when string) {
 	snap, ok := g.snaps[obj]
 	if !ok {
 		return // committed before the guard was armed
 	}
-	if !reflect.DeepEqual(obj.DeepCopy(), snap) {
+	if !reflect.DeepEqual(obj, snap) {
 		m := obj.GetMeta()
 		g.found = append(g.found, fmt.Sprintf("%s %s mutated after commit, seen when %s",
 			m.Kind, m.Key(), when))
@@ -162,6 +177,31 @@ func TestCommitGuardCatchesMutation(t *testing.T) {
 		"Pod ns/deleted mutated after commit, seen when deleted",
 		"Pod ns/kept mutated after commit, seen when the run ended",
 		"Pod ns/replaced mutated after commit, seen when replaced",
+	}
+	if got, _ := g.finish(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("guard found:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}
+
+// TestCommitGuardCatchesSharedMapWrite checks that the guard sees the maps
+// DeepCopy shares: an in-place annotation write through a Client.Get
+// result, or through a DeepCopy of one, changes the committed Job.
+func TestCommitGuardCatchesSharedMapWrite(t *testing.T) {
+	g := installCommitGuard(t)
+	eng := sim.NewEngine(1)
+	cli := k8s.NewAPIServer(eng, k8s.DefaultAPILatency()).Client()
+	for _, name := range []string{"read", "copied"} {
+		cli.Create(&k8s.Job{Meta: k8s.Meta{Kind: k8s.KindJob, Namespace: "ns", Name: name,
+			Annotations: map[string]string{"vni": "true"}}})
+	}
+	eng.Run()
+	read, _ := cli.Get(k8s.KindJob, "ns", "read")
+	read.GetMeta().Annotations["vni"] = "written through Get"
+	copied, _ := cli.Get(k8s.KindJob, "ns", "copied")
+	copied.DeepCopy().GetMeta().Annotations["vni"] = "written through a DeepCopy"
+	want := []string{
+		"Job ns/copied mutated after commit, seen when the run ended",
+		"Job ns/read mutated after commit, seen when the run ended",
 	}
 	if got, _ := g.finish(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("guard found:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))

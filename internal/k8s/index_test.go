@@ -63,7 +63,7 @@ func TestChildrenIndexExact(t *testing.T) {
 
 	update := func(name string, fn func(*Pod)) {
 		t.Helper()
-		obj, _ := api.Get(KindPod, "ns", name)
+		obj := mustGetCopy(t, api, KindPod, name)
 		fn(obj.(*Pod))
 		resp := api.Update(obj)
 		eng.Run()

@@ -167,7 +167,7 @@ func (c *JobController) reconcile(key string) {
 			Kind:        KindPod,
 			Namespace:   job.Meta.Namespace,
 			Name:        fmt.Sprintf("%s-%d", job.Meta.Name, n),
-			Annotations: copyStringMap(job.Meta.Annotations),
+			Annotations: job.Meta.Annotations, // immutable: shared, not copied
 			Labels:      map[string]string{"job-name": job.Meta.Name},
 			OwnerUID:    job.Meta.UID,
 		},

@@ -84,7 +84,7 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 	}
 
 	// Update preserves UID.
-	j := got.(*Job)
+	j := got.DeepCopy().(*Job)
 	j.Spec.Parallelism = 3
 	api.Update(j)
 	eng.Run()
@@ -117,17 +117,38 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 	}
 }
 
-func TestAPIServerReturnsCopies(t *testing.T) {
+// TestReadsShareCommittedObject pins the read contract: Client.Get,
+// APIServer.Get, APIServer.List and the lister all return the committed
+// object itself, and a write commits a new object instead of changing it,
+// so an object read before an Update keeps the state it was read with.
+func TestReadsShareCommittedObject(t *testing.T) {
 	eng := sim.NewEngine(1)
 	api := NewAPIServer(eng, DefaultAPILatency())
+	cli := api.Client()
+	jobs := cli.Lister(KindJob)
 	api.Create(&Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j",
 		Annotations: map[string]string{"vni": "true"}}})
 	eng.Run()
 	got, _ := api.Get(KindJob, "ns", "j")
-	got.GetMeta().Annotations["vni"] = "tampered"
-	got2, _ := api.Get(KindJob, "ns", "j")
-	if got2.GetMeta().Annotations["vni"] != "true" {
-		t.Error("store state mutated through returned copy")
+	viaClient, _ := cli.Get(KindJob, "ns", "j")
+	cached, _ := jobs.Get("ns", "j")
+	listed := api.List(KindJob, "ns")
+	if got != viaClient || got != cached || len(listed) != 1 || listed[0] != got {
+		t.Fatal("reads of one commit returned different objects")
+	}
+
+	cp := got.DeepCopy().(*Job)
+	cp.Spec.Parallelism = 3
+	cp.Meta.SetAnnotation("vni", "tampered")
+	api.Update(cp)
+	eng.Run()
+	if j := got.(*Job); j.Spec.Parallelism != 0 || j.Meta.Annotations["vni"] != "true" {
+		t.Errorf("object read before the update changed: parallelism %d, vni %q",
+			j.Spec.Parallelism, j.Meta.Annotations["vni"])
+	}
+	now, _ := cli.Get(KindJob, "ns", "j")
+	if now == got || now.(*Job).Spec.Parallelism != 3 || now.GetMeta().Annotations["vni"] != "tampered" {
+		t.Errorf("update not visible to a later read: %+v", now)
 	}
 }
 
@@ -321,7 +342,7 @@ func TestCustomObjectsStoreAndCopy(t *testing.T) {
 	if !ok {
 		t.Fatal("custom object missing")
 	}
-	cr := got.(*Custom)
+	cr := got.DeepCopy().(*Custom)
 	if cr.Spec["vni"] != "1234" {
 		t.Errorf("spec = %v", cr.Spec)
 	}

@@ -35,6 +35,10 @@ const (
 // Meta is object metadata: a subset of ObjectMeta sufficient for the
 // reproduction (annotations drive the VNI request interface; finalizers
 // drive the /finalize webhook; owner UIDs drive cascading deletion).
+//
+// Annotations and Labels are immutable values: copies of an object share
+// them, so a writer installs a new map (SetAnnotation) instead of writing
+// into the one it holds.
 type Meta struct {
 	Kind        Kind
 	Namespace   string
@@ -73,18 +77,38 @@ func (m *Meta) HasFinalizer(f string) bool {
 // Object is anything stored in the API server.
 type Object interface {
 	GetMeta() *Meta
-	// DeepCopy returns an independent copy. The API server stores a copy
-	// of what it is handed, and callers copy a committed object (from a
-	// lister or a watch event, which share it) before mutating it.
+	// DeepCopy returns a copy the caller may write: every struct field is
+	// copied, and so are Meta.Finalizers and a Custom's Spec and Status
+	// maps. Meta.Annotations and Meta.Labels are shared with the original,
+	// since they are immutable values (see Meta). The API server stores a
+	// copy of what it is handed, and callers copy a committed object (from
+	// Get, List, a lister or a watch event, which share it) before
+	// mutating it.
 	DeepCopy() Object
 }
 
+// copyMeta copies m for DeepCopy. Finalizers is copied because
+// RemoveFinalizer filters it in place; the metadata maps are shared.
 func copyMeta(m Meta) Meta {
 	out := m
-	out.Annotations = copyStringMap(m.Annotations)
-	out.Labels = copyStringMap(m.Labels)
 	out.Finalizers = append([]string(nil), m.Finalizers...)
 	return out
+}
+
+// SetAnnotation installs a new Annotations map holding m's annotations
+// with key set to value, or with key removed when value is "". The old map
+// may be shared with a committed object, so it is never written into.
+func (m *Meta) SetAnnotation(key, value string) {
+	out := make(map[string]string, len(m.Annotations)+1)
+	for k, v := range m.Annotations {
+		if k != key {
+			out[k] = v
+		}
+	}
+	if value != "" {
+		out[key] = value
+	}
+	m.Annotations = out
 }
 
 func copyStringMap(m map[string]string) map[string]string {

@@ -234,6 +234,7 @@ func (s *Scheduler) bind(key string) {
 		s.cli.Engine().After(500*time.Millisecond, func() { s.enqueue(key) })
 		return
 	}
+	pod = pod.DeepCopy().(*Pod) // the Get result is shared: bind a copy
 	pod.Spec.NodeName = node
 	pod.Status.Phase = PodScheduled
 	s.assumed[key] = assumedBinding{node: node, job: jobKeyOf(pod)}

@@ -225,10 +225,7 @@ func (c *Controller) Remediate(node string) error {
 			return false
 		}
 		n.Spec.Unschedulable = true
-		if n.Meta.Annotations == nil {
-			n.Meta.Annotations = make(map[string]string, 1)
-		}
-		n.Meta.Annotations[health.AnnotationReason] = "manual"
+		n.Meta.SetAnnotation(health.AnnotationReason, "manual")
 		return true
 	})
 	return nil
@@ -356,7 +353,7 @@ func (c *Controller) uncordon(r *nodeRun) {
 			return false
 		}
 		n.Spec.Unschedulable = false
-		delete(n.Meta.Annotations, health.AnnotationReason)
+		n.Meta.SetAnnotation(health.AnnotationReason, "")
 		return true
 	})
 	c.emit(NodeUncordoned, r.node, "")
