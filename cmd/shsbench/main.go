@@ -9,7 +9,7 @@
 //	shsbench -exp all
 //	shsbench -exp fig5 -runs 10
 //	shsbench -exp fig12 -runs 5 -seed 42
-//	shsbench -exp perf -benchjson BENCH_PR8.json
+//	shsbench -exp perf -benchjson BENCH_FRESH.json
 //	shsbench -exp collectives -fidelity flow
 //
 // Experiments: table1, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12,
@@ -33,7 +33,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (table1, fig5..fig12, comm, admission, fabric, collectives, perf, all)")
 	runs := flag.Int("runs", 0, "repetitions per mode (0 = paper defaults: 10 comm / 5 admission)")
 	seed := flag.Int64("seed", 1, "base RNG seed")
-	benchJSON := flag.String("benchjson", "BENCH_PR8.json", "output path for the -exp perf JSON snapshot")
+	benchJSON := flag.String("benchjson", "BENCH_FRESH.json", "output path for the -exp perf JSON snapshot")
 	fidelity := flag.String("fidelity", "", "fabric fidelity for the collectives sweep (packet, flow or hybrid)")
 	flag.Parse()
 

@@ -15,7 +15,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"strconv"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/cxi"
@@ -63,7 +62,10 @@ func main() {
 	kjob.Spec.DeleteAfterFinished = false
 	st.Cluster.SubmitJob(kjob)
 	st.Eng.RunFor(10 * time.Second)
-	k8sVNI := cloudVNI(st)
+	k8sVNI, ok, err := vniapi.JobVNI(vniapi.VNILister(st.Cluster.Client), "cloud", "workflow")
+	if !ok || err != nil {
+		log.Fatalf("k8s job workflow has no usable VNI (found=%v): %v", ok, err)
+	}
 	fmt.Printf("k8s job workflow: VNI %d via VNI Service (netns-member auth)\n\n", k8sVNI)
 
 	// Exclusivity across regimes.
@@ -114,19 +116,11 @@ func main() {
 	}
 	st.Cluster.Client.Delete(k8s.KindJob, "cloud", "workflow")
 	st.Eng.RunFor(20 * time.Second)
-	fmt.Printf("\nafter teardown: %+v (all VNIs quarantined, none allocated)\n", st.DB.Stats())
-}
-
-func cloudVNI(st *stack.Stack) fabric.VNI {
-	for _, obj := range st.Cluster.Client.Lister(vniapi.KindVNI).List("cloud") {
-		cr := obj.(*k8s.Custom)
-		v, err := strconv.ParseUint(cr.Spec[vniapi.SpecVNI], 10, 32)
-		if err == nil {
-			return fabric.VNI(v)
-		}
+	stats := st.DB.Stats()
+	if stats.Allocated != 0 {
+		log.Fatalf("after teardown: %+v, want none allocated", stats)
 	}
-	log.Fatal("no k8s VNI")
-	return 0
+	fmt.Printf("\nafter teardown: %+v (none allocated)\n", stats)
 }
 
 func firstRunningPod(st *stack.Stack, ns string) *k8s.Pod {

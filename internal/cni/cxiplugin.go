@@ -2,7 +2,6 @@ package cni
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/cxi"
@@ -133,14 +132,8 @@ func (p *CXIPlugin) Add(args Args, prev *Result, done func(*Result, error)) {
 // VNI CRD in the namespace.
 func (p *CXIPlugin) fetchVNI(args Args, jobName string, retries int, done func(fabric.VNI, error)) {
 	p.eng.After(p.eng.Jitter(p.cfg.APIQueryCost, 0.3), func() {
-		for _, obj := range p.vnis.ByIndex(vniapi.IndexVNIByJob, args.PodNamespace+"/"+jobName) {
-			cr := obj.(*k8s.Custom)
-			v, err := strconv.ParseUint(cr.Spec[vniapi.SpecVNI], 10, 32)
-			if err != nil {
-				done(0, fmt.Errorf("malformed VNI CRD %s: %v", cr.Meta.Key(), err))
-				return
-			}
-			done(fabric.VNI(v), nil)
+		if vni, ok, err := vniapi.JobVNI(p.vnis, args.PodNamespace, jobName); ok {
+			done(vni, err)
 			return
 		}
 		if retries > 0 {

@@ -14,7 +14,6 @@ package harness
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
@@ -24,6 +23,7 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/osu"
 	"github.com/caps-sim/shs-k8s/internal/stack"
 	"github.com/caps-sim/shs-k8s/internal/vniapi"
+	"github.com/caps-sim/shs-k8s/internal/workload"
 )
 
 // CommMode is one line of Figures 5-8.
@@ -197,38 +197,16 @@ func podDomains(st *stack.Stack, vni bool) ([]*libfabric.Domain, error) {
 
 	useVNI := fabric.VNI(1) // vni:false: globally accessible VNI
 	if vni {
-		v, err := jobVNI(st, "bench", "osu")
+		v, ok, err := vniapi.JobVNI(vniapi.VNILister(st.Cluster.Client), "bench", "osu")
 		if err != nil {
 			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("no VNI CRD for job bench/osu")
 		}
 		useVNI = v
 	}
-
-	var doms []*libfabric.Domain
-	for _, obj := range st.Cluster.Client.Lister(k8s.KindPod).List("bench") {
-		pod := obj.(*k8s.Pod)
-		if pod.Status.Phase != k8s.PodRunning {
-			continue
-		}
-		node, ok := st.NodeByName(pod.Spec.NodeName)
-		if !ok {
-			return nil, fmt.Errorf("pod %s on unknown node %s", pod.Meta.Name, pod.Spec.NodeName)
-		}
-		proc, err := node.Runtime.Exec(pod.Meta.Namespace, pod.Meta.Name, "osu-rank", 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		d, err := libfabric.OpenDomain(st.Eng, libfabric.Info{
-			Device: node.Device, Caller: proc.PID, VNI: useVNI, TC: fabric.TCDedicated})
-		if err != nil {
-			return nil, err
-		}
-		doms = append(doms, d)
-	}
-	if len(doms) != 2 {
-		return nil, fmt.Errorf("opened %d domains, want 2", len(doms))
-	}
-	return doms, nil
+	return workload.Gang(st, "bench", "osu", useVNI, fabric.TCDedicated)
 }
 
 func runningPods(st *stack.Stack) int {
@@ -239,18 +217,4 @@ func runningPods(st *stack.Stack) int {
 		}
 	}
 	return n
-}
-
-// jobVNI reads the VNI assigned to a job from its VNI CRD instance via the
-// by-job index.
-func jobVNI(st *stack.Stack, namespace, jobName string) (fabric.VNI, error) {
-	for _, obj := range vniapi.VNILister(st.Cluster.Client).ByIndex(vniapi.IndexVNIByJob, namespace+"/"+jobName) {
-		cr := obj.(*k8s.Custom)
-		v, err := strconv.ParseUint(cr.Spec[vniapi.SpecVNI], 10, 32)
-		if err != nil {
-			return 0, err
-		}
-		return fabric.VNI(v), nil
-	}
-	return 0, fmt.Errorf("no VNI CRD for job %s/%s", namespace, jobName)
 }

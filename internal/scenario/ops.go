@@ -316,22 +316,15 @@ func (r *Ops) churnJobs(ev *Event) error {
 // (virtual or owning — both carry a valid VNI value), or the one attached
 // to jobName when given. Job lookups go through the by-job index.
 func (r *Ops) tenantVNI(tenant, jobName string) (fabric.VNI, error) {
-	var crds []k8s.Object
 	if jobName != "" {
-		crds = r.vnis.ByIndex(vniapi.IndexVNIByJob, tenant+"/"+jobName)
-	} else {
-		crds = r.vnis.List(tenant)
-	}
-	for _, obj := range crds {
-		cr := obj.(*k8s.Custom)
-		v, err := strconv.ParseUint(cr.Spec[vniapi.SpecVNI], 10, 32)
-		if err != nil {
-			return 0, fmt.Errorf("bad vni on CRD %s: %v", cr.Meta.Name, err)
+		vni, ok, err := vniapi.JobVNI(r.vnis, tenant, jobName)
+		if !ok {
+			return 0, fmt.Errorf("no VNI CRD for job %s/%s", tenant, jobName)
 		}
-		return fabric.VNI(v), nil
+		return vni, err
 	}
-	if jobName != "" {
-		return 0, fmt.Errorf("no VNI CRD for job %s/%s", tenant, jobName)
+	if crds := r.vnis.List(tenant); len(crds) > 0 {
+		return vniapi.ParseVNI(crds[0].(*k8s.Custom))
 	}
 	return 0, fmt.Errorf("tenant %s has no VNI", tenant)
 }

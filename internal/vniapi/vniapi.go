@@ -6,8 +6,11 @@
 package vniapi
 
 import (
+	"fmt"
+	"strconv"
 	"time"
 
+	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
@@ -84,7 +87,31 @@ func VNIByJobIndex(obj k8s.Object) []string {
 	if job == "" {
 		return nil
 	}
-	return []string{c.Meta.Namespace + "/" + job}
+	return []string{jobKey(c.Meta.Namespace, job)}
+}
+
+// jobKey is the IndexVNIByJob value of a job.
+func jobKey(namespace, job string) string { return namespace + "/" + job }
+
+// ParseVNI reads the decimal spec.vni value of a VNI CRD instance.
+func ParseVNI(cr *k8s.Custom) (fabric.VNI, error) {
+	v, err := strconv.ParseUint(cr.Spec[SpecVNI], 10, 32)
+	if err != nil {
+		return 0, fmt.Errorf("malformed VNI CRD %s: %v", cr.Meta.Key(), err)
+	}
+	return fabric.VNI(v), nil
+}
+
+// JobVNI returns the VNI attached to a job, looked up through the by-job
+// index of l (a VNILister). ok is false while the job has no VNI CRD
+// instance; err is set when it has one whose spec.vni is malformed.
+func JobVNI(l k8s.Lister, namespace, job string) (vni fabric.VNI, ok bool, err error) {
+	crds := l.ByIndex(IndexVNIByJob, jobKey(namespace, job))
+	if len(crds) == 0 {
+		return 0, false, nil
+	}
+	vni, err = ParseVNI(crds[0].(*k8s.Custom))
+	return vni, true, err
 }
 
 // VNILister returns the cached lister over VNI CRD instances with the

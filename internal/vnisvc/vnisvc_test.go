@@ -10,6 +10,7 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/libcxi"
+	"github.com/caps-sim/shs-k8s/internal/libfabric"
 	"github.com/caps-sim/shs-k8s/internal/nsmodel"
 	"github.com/caps-sim/shs-k8s/internal/stack"
 	"github.com/caps-sim/shs-k8s/internal/vniapi"
@@ -180,6 +181,45 @@ func TestVNIClaimSharedAcrossJobs(t *testing.T) {
 		}
 		return nil
 	})
+
+	// Cross-job RDMA over the claim's VNI — what the Per-Resource model
+	// forbids: a process in j1's pod sends 1 MiB to one in j2's pod.
+	vni, err := vniapi.ParseVNI(cr1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := podDomain(t, s, "vnitest", "j1-0", vni)
+	dst := podDomain(t, s, "vnitest", "j2-0", vni)
+	got := 0
+	dst.OnRecv(func(_ libfabric.Addr, size int) { got = size })
+	if err := src.Send(dst.Addr(), 1<<20, nil); err != nil {
+		t.Fatalf("cross-job send: %v", err)
+	}
+	s.Eng.RunFor(time.Second)
+	if got != 1<<20 {
+		t.Errorf("j2 received %d bytes over claim VNI %d, want %d", got, vni, 1<<20)
+	}
+}
+
+// podDomain opens a libfabric domain from a process inside a running pod,
+// authenticated by the pod's netns.
+func podDomain(t *testing.T, s *stack.Stack, namespace, pod string, vni fabric.VNI) *libfabric.Domain {
+	t.Helper()
+	rt, ok := s.RuntimeForPod(namespace, pod)
+	if !ok {
+		t.Fatalf("pod %s/%s has no runtime", namespace, pod)
+	}
+	proc, err := rt.Exec(namespace, pod, "rank", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, _ := s.NodeByName(rt.Node())
+	d, err := libfabric.OpenDomain(s.Eng, libfabric.Info{
+		Device: node.Device, Caller: proc.PID, VNI: vni, TC: fabric.TCBulkData})
+	if err != nil {
+		t.Fatalf("open domain in %s/%s: %v", namespace, pod, err)
+	}
+	return d
 }
 
 func TestClaimDeletionBlockedWhileUsersRemain(t *testing.T) {
